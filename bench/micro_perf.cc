@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/core/batch_generator.h"
 #include "src/core/gen_guard.h"
 #include "src/core/trainer.h"
 #include "src/core/workload_model.h"
@@ -509,9 +510,9 @@ double BenchFidelityOverhead(size_t hw, const WorkloadModel& model) {
 
 // --- Sharded tick scheduler vs one batch window ----------------------------
 //
-// The sharded generation scheduler's payoff: GenerateMany with one batch
-// window in flight per pool worker (gen_shards = 0, auto) vs the
-// single-window batched engine (gen_shards = 1). The bytes are identical
+// The sharded generation scheduler's payoff: RunShardedBatchEngines with
+// one batch window in flight per pool worker (the shard count GenerateMany
+// uses) vs one single-window engine (1 shard). The bytes are identical
 // either way (tests/batch_gen_test.cc); this measures only wall-clock. The
 // variants alternate and keep their minima — on few-core boxes the two do
 // nearly identical work, and one-sided scheduler noise would otherwise read
@@ -522,23 +523,27 @@ double BenchGenSharded(size_t hw, const WorkloadModel& model) {
   options.from_period = 3 * kPeriodsPerDay;
   options.to_period = 4 * kPeriodsPerDay;
   // A small window keeps per-shard batches meaningful at this trace count
-  // (auto-sharding splits the 16 traces round-robin across the workers).
-  options.batch_window = 16;
+  // (one shard per worker, clamped to the 16 traces, splits them round-robin).
+  constexpr size_t kWindow = 16;
   constexpr size_t kMany = 16;
 
   SetGlobalThreads(hw);
   const auto time_once = [&](size_t shards) {
-    options.gen_shards = shards;
     Timer timer;
     Rng rng(17);
-    (void)model.GenerateMany(options, kMany, rng);
+    std::vector<Trace> traces(kMany);
+    RunShardedBatchEngines(model, options, rng.Next(), 0, kMany, kWindow, shards,
+                           [&traces](size_t i, Trace&& trace) {
+                             traces[i] = std::move(trace);
+                             return true;
+                           });
     return timer.ElapsedSeconds() * 1000.0;
   };
   (void)time_once(1);  // Warm-up.
   // Tokens (LSTM steps) per sharded run, for the throughput gauge.
   obs::Counter& rows_counter = obs::Registry::Global().GetCounter("gen.batch.rows");
   const uint64_t rows_before = rows_counter.Value();
-  (void)time_once(0);
+  (void)time_once(hw);
   const double tokens = static_cast<double>(rows_counter.Value() - rows_before);
 
   double single_ms = 0.0;
@@ -546,7 +551,7 @@ double BenchGenSharded(size_t hw, const WorkloadModel& model) {
   constexpr int kRounds = 12;
   for (int round = 0; round < kRounds; ++round) {
     const double single = time_once(1);
-    const double sharded = time_once(0);
+    const double sharded = time_once(hw);
     single_ms = round == 0 ? single : std::min(single_ms, single);
     sharded_ms = round == 0 ? sharded : std::min(sharded_ms, sharded);
   }

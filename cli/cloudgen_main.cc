@@ -90,14 +90,13 @@ int Usage() {
       "            --out GEN.csv | --out-dir DIR [--segment-bytes N]\n"
       "            [--resume-gen] [--deadline-sec S]\n"
       "            [--guard off|abort|resample|fallback] [--batch-window N]\n"
-      "            [--gen-shards N]\n"
       "  segcat    --dir DIR [--out FILE] [--allow-partial]\n"
       "  metrics-dump  --in METRICS.json [--prom]\n"
       "  serve     --jobs JOBS.csv --flavors FLAVORS.csv --train-days N\n"
       "            --model PREFIX --from-day D --days K [--port P] [--bind A]\n"
       "            [--state-dir DIR] [--max-streams N] [--max-streams-per-tenant N]\n"
       "            [--max-buffer-mb N] [--idle-timeout-sec S] [--io-timeout-sec S]\n"
-      "            [--stall-timeout-sec S] [--gen-shards N]\n"
+      "            [--stall-timeout-sec S]\n"
       "  fetch     --port P [--host H] --tenant T --stream S --seed N --traces N\n"
       "            --out FILE [--resume] [--retry-attempts N] [--retry-base-ms MS]\n"
       "            [--credit-bytes N] [--io-timeout-sec S]\n"
@@ -137,12 +136,9 @@ int Usage() {
       "                output is byte-identical to an uninterrupted run\n"
       "  --guard       numeric-health policy for generation steps (default\n"
       "                abort; see docs/ROBUSTNESS.md)\n"
-      "  --batch-window  max traces stepped in lockstep by the batched\n"
-      "                inference engine (default 256; 0 = single-stream path;\n"
-      "                output bytes are identical for every setting)\n"
-      "  --gen-shards  generate/serve: independent batch windows in flight on\n"
-      "                the thread pool (default 0 = one per worker thread;\n"
-      "                1 = single window; output bytes are identical for\n"
+      "  --batch-window  generate with --traces > 1: max traces stepped in\n"
+      "                lockstep per batch window, one window per worker thread\n"
+      "                (default 256; 0 means 1; output bytes are identical for\n"
       "                every setting)\n"
       "  --fault-plan  arm the deterministic fault injector from a plan file\n"
       "                (same grammar as CLOUDGEN_FAULT_PLAN; see\n"
@@ -381,12 +377,6 @@ int RunGenerate(const Flags& flags) {
     return kExitUsage;
   }
   options.batch_window = static_cast<size_t>(batch_window);
-  const long gen_shards = flags.GetLong("gen-shards", 0);
-  if (gen_shards < 0) {
-    std::fprintf(stderr, "--gen-shards must be >= 0\n");
-    return kExitUsage;
-  }
-  options.gen_shards = static_cast<size_t>(gen_shards);
   if (flags.Has("fidelity")) {
     // Observe-only: computes RNG-free references from the loaded networks and
     // enables the global monitor. Generated bytes are unaffected.
@@ -524,12 +514,6 @@ int RunServe(const Flags& flags) {
     std::fprintf(stderr, "--guard must be off|abort|resample|fallback\n");
     return kExitUsage;
   }
-  const long serve_gen_shards = flags.GetLong("gen-shards", 0);
-  if (serve_gen_shards < 0) {
-    std::fprintf(stderr, "--gen-shards must be >= 0\n");
-    return kExitUsage;
-  }
-  options.gen.gen_shards = static_cast<size_t>(serve_gen_shards);
   if (flags.Has("fidelity")) {
     model.EnableFidelityMonitor(options.gen);
   }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <istream>
 #include <mutex>
+#include <ostream>
 #include <utility>
 
 #include "src/obs/fidelity_monitor.h"
@@ -21,27 +23,46 @@ TraceStreamMachine::TraceStreamMachine(const WorkloadModel& model,
       arrivals_(model.ArrivalModel()),
       binning_(model.LifetimeModel().Binning()),
       index_(index),
-      rng_(Rng::Stream(base, index)),
+      owned_rng_(Rng::Stream(base, index)),
+      rng_(&owned_rng_),
       trace_(model.Flavors(), options.from_period, options.to_period),
-      // Same first draw as WorkloadModel::Generate: one DOH day per trace.
-      doh_day_(model.ArrivalModel().SampleDohDay(rng_, options.doh_mode)),
+      // The stream's first draw: one DOH day per trace.
+      doh_day_(model.ArrivalModel().SampleDohDay(owned_rng_, options.doh_mode)),
       flavor_gen_(model.FlavorModel(), doh_day_, options.eob_scale, options.guard),
       lifetime_gen_(model.LifetimeModel(), doh_day_, options.guard),
       factored_flavor_(model.FlavorModel().Network().IsFactored()),
-      period_(options.from_period) {}
+      period_(options.from_period),
+      end_period_(options.to_period) {}
+
+TraceStreamMachine::TraceStreamMachine(const WorkloadModel& model,
+                                       const BatchArrivalModel& arrivals,
+                                       const WorkloadModel::GenerateOptions& options,
+                                       Rng* rng, int doh_day)
+    : options_(options),
+      arrivals_(arrivals),
+      binning_(model.LifetimeModel().Binning()),
+      index_(0),
+      rng_(rng),
+      trace_(model.Flavors(), options.from_period, options.to_period),
+      doh_day_(doh_day),
+      flavor_gen_(model.FlavorModel(), doh_day_, options.eob_scale, options.guard),
+      lifetime_gen_(model.LifetimeModel(), doh_day_, options.guard),
+      factored_flavor_(model.FlavorModel().Network().IsFactored()),
+      period_(options.from_period),
+      end_period_(options.to_period) {}
 
 void TraceStreamMachine::Advance() {
   // Hot-path metric handles, registered once per process (see metrics.h).
-  // Same counters, bumped at the same points, as PeriodEngine::RunPeriod.
   static obs::Counter& period_counter = obs::Registry::Global().GetCounter("gen.periods");
   static obs::Counter& batch_counter = obs::Registry::Global().GetCounter("gen.batches");
   static obs::Counter& job_counter = obs::Registry::Global().GetCounter("gen.jobs");
-  // Observe-only fidelity hook, mirroring PeriodEngine::RunPeriod.
+  // Observe-only fidelity hook (src/obs/fidelity_monitor.h): one relaxed
+  // load when the monitor is off, never an Rng touch either way.
   obs::FidelityMonitor& fidelity = obs::FidelityMonitor::Global();
   for (;;) {
     switch (phase_) {
       case Phase::kPeriodStart: {
-        if (period_ >= options_.to_period) {
+        if (period_ >= end_period_) {
           need_ = Need::kDone;
           return;
         }
@@ -53,7 +74,7 @@ void TraceStreamMachine::Advance() {
         // A no-DOH arrival override ignores the day argument internally.
         const int arrivals_doh = std::min(doh_day_, std::max(1, arrivals_.HistoryDays()));
         const double rate = arrivals_.Rate(period_, arrivals_doh) * options_.arrival_scale;
-        const int64_t n_batches = rng_.Poisson(rate);
+        const int64_t n_batches = rng_->Poisson(rate);
         period_counter.Add(1);
         fidelity.ObservePeriodBatches(n_batches);
         if (n_batches == 0) {
@@ -71,8 +92,8 @@ void TraceStreamMachine::Advance() {
           return;
         }
         // Period's token stream is complete (or cancelled mid-stream, in
-        // which case the partial batches flow through the lifetime stage
-        // exactly as GeneratePeriod's early break does).
+        // which case the partial batches still flow through the lifetime
+        // stage; the caller discards the partial trace).
         batches_ = flavor_gen_.TakeBatches();
         batch_counter.Add(static_cast<uint64_t>(batches_.size()));
         batch_idx_ = 0;
@@ -118,28 +139,53 @@ void TraceStreamMachine::BeginNeededStep(float* x_row) {
 
 void TraceStreamMachine::FinishNeededStep() {
   if (need_ == Need::kFlavorStep) {
-    flavor_gen_.ConsumeStep(rng_);
+    flavor_gen_.ConsumeStep(*rng_);
   } else {
     CG_DCHECK(need_ == Need::kLifetimeStep);
-    EmitJob(lifetime_gen_.ConsumeJobStep(rng_));
+    EmitJob(lifetime_gen_.ConsumeJobStep(*rng_));
   }
   Advance();
 }
 
 void TraceStreamMachine::RunNeededStepSingle() {
   if (need_ == Need::kFlavorStep) {
-    flavor_gen_.StepToken(rng_);
+    flavor_gen_.StepToken(*rng_);
   } else {
     CG_DCHECK(need_ == Need::kLifetimeStep);
     const std::vector<int32_t>& batch = batches_[batch_idx_];
-    EmitJob(lifetime_gen_.StepJob(period_, batch[job_idx_], batch.size(), rng_));
+    EmitJob(lifetime_gen_.StepJob(period_, batch[job_idx_], batch.size(), *rng_));
   }
   Advance();
 }
 
+void TraceStreamMachine::RunSingleUntil(int64_t until) {
+  end_period_ = std::min(until, options_.to_period);
+  Advance();
+  while (need_ != Need::kDone) {
+    RunNeededStepSingle();
+  }
+}
+
+void TraceStreamMachine::SaveState(std::ostream& out) const {
+  CG_CHECK_MSG(phase_ == Phase::kPeriodStart, "machine state saved mid-period");
+  out.write(reinterpret_cast<const char*>(&next_user_), sizeof(next_user_));
+  flavor_gen_.SaveState(out);
+  lifetime_gen_.SaveState(out);
+}
+
+void TraceStreamMachine::LoadState(std::istream& in, int64_t next_period) {
+  in.read(reinterpret_cast<char*>(&next_user_), sizeof(next_user_));
+  CG_CHECK_MSG(static_cast<bool>(in), "truncated generation state");
+  flavor_gen_.LoadState(in);
+  lifetime_gen_.LoadState(in);
+  phase_ = Phase::kPeriodStart;
+  need_ = Need::kDone;
+  period_ = next_period;
+}
+
 void TraceStreamMachine::EmitJob(size_t bin) {
   const double duration =
-      SampleDurationInBin(binning_, bin, options_.interpolation, rng_);
+      SampleDurationInBin(binning_, bin, options_.interpolation, *rng_);
   Job job;
   job.start_period = period_;
   job.end_period =
@@ -343,10 +389,8 @@ void RunShardedBatchEngines(const WorkloadModel& model,
     return true;
   };
 
-  // One engine per shard, each a pool task. The inner cap splits the pool
-  // evenly so shards x inner <= pool size (see ScopedInnerParallelism); with
-  // fewer cores than shards every shard's inner GEMMs just run inline.
-  const size_t inner = std::max<size_t>(1, GlobalParallelism() / shards);
+  // One engine per shard, each a pool task; nested sections inside a pool
+  // task run inline, so each shard's GEMMs stay on its own thread.
   std::vector<std::unique_ptr<BatchTraceEngine>> engines;
   engines.reserve(shards);
   std::vector<std::function<void()>> tasks;
@@ -355,9 +399,7 @@ void RunShardedBatchEngines(const WorkloadModel& model,
     engines.push_back(std::make_unique<BatchTraceEngine>(model, options, base));
     BatchTraceEngine* engine = engines.back().get();
     const size_t shard_first = first + s;
-    tasks.push_back([engine, shard_first, shards, end, window, inner,
-                     &shared_emit] {
-      ScopedInnerParallelism scope(inner);
+    tasks.push_back([engine, shard_first, shards, end, window, &shared_emit] {
       engine->RunStrided(shard_first, shards, end, window, shared_emit);
     });
   }

@@ -1,8 +1,14 @@
-// Batched multi-stream generation engine.
+// The generation loop and the batched multi-stream engine around it.
+//
+// TraceStreamMachine is the one per-trace period loop: every entry point
+// (Generate, GenerateWithArrivalModel, GenerateStreaming, GenerateMany,
+// serve's row regeneration) runs it. It is a resumable state machine so the
+// LSTM steps can run one at a time (the single-step route) or be gathered
+// across many traces into one batch.
 //
 // The single-stream generator spends almost all of its time in batch-1 GEMVs:
 // one trace advances one token at a time, so every LSTM layer multiplies a
-// (1, H) row against (·, 4H) weights. This engine steps many independent
+// (1, H) row against (·, 4H) weights. The engine steps many independent
 // traces in lockstep instead: each tick it gathers the active streams' step
 // inputs and per-layer h/c rows into one matrix, runs a single blocked GEMM
 // per LSTM layer (SequenceNetwork::StepBatch), and scatters the results back.
@@ -10,14 +16,14 @@
 // p-ascending reduction, row r of a batched step is bitwise-identical to a
 // batch-1 step of that stream alone — and each stream samples only from its
 // own Rng::Stream — so generated traces are byte-identical for ANY window
-// size and thread count (the single-stream path is the oracle).
+// size and thread count.
 //
 // Two layers:
 //  * TraceStreamMachine — one trace as a resumable state machine. Advance()
 //    runs everything that is not an LSTM step (arrival Poisson draws,
 //    duration sampling, job emission, period/phase transitions) until the
 //    machine either needs a flavor-token or lifetime-job LSTM step, or the
-//    trace is complete. The needed step can be run whole (single-stream
+//    trace is complete. The needed step can be run whole (single-step
 //    route) or split into gather/scatter halves for batching.
 //  * BatchTraceEngine — the tick loop: partitions active machines by which
 //    network they need (flavor vs lifetime), steps each group as one batch,
@@ -30,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -38,16 +45,31 @@
 
 namespace cloudgen {
 
-// One trace being generated, decomposed so the LSTM steps can be executed
-// externally. Draw-for-draw identical to WorkloadModel::Generate on the same
-// Rng::Stream(base, index).
+// One trace being generated: the paper's three stages per 5-minute period
+// (Poisson batch-arrival draw, flavor-LSTM token loop until the sampled
+// number of EOBs, one lifetime-LSTM hazard step per job), decomposed so the
+// LSTM steps can be executed externally.
 class TraceStreamMachine {
  public:
   enum class Need { kFlavorStep, kLifetimeStep, kDone };
 
+  // Engine route: trace `index` of the family anchored at `base`. Draws only
+  // from Rng::Stream(base, index), whose first draw samples the DOH day.
   TraceStreamMachine(const WorkloadModel& model,
                      const WorkloadModel::GenerateOptions& options, uint64_t base,
                      size_t index);
+  // Caller-driven route (Generate, GenerateWithArrivalModel,
+  // GenerateStreaming): draws from `*rng`, advancing the caller's generator
+  // exactly as the period loop always has. Stage-1 rates come from
+  // `arrivals` (the model's own or an ablation override); the LSTM stages are
+  // conditioned on `doh_day`, which the caller sampled or restored from a
+  // checkpoint. `*rng` must outlive the machine.
+  TraceStreamMachine(const WorkloadModel& model, const BatchArrivalModel& arrivals,
+                     const WorkloadModel::GenerateOptions& options, Rng* rng,
+                     int doh_day);
+
+  TraceStreamMachine(const TraceStreamMachine&) = delete;
+  TraceStreamMachine& operator=(const TraceStreamMachine&) = delete;
 
   Need need() const { return need_; }
   size_t index() const { return index_; }
@@ -69,6 +91,25 @@ class TraceStreamMachine {
   // same math with extra gather/scatter.
   void RunNeededStepSingle();
 
+  // Single-step route: generates every period before `until` (clamped to
+  // the horizon) with RunNeededStepSingle, then pauses at that period
+  // boundary, before its Poisson draw. Generate runs to the horizon in one
+  // call; streaming runs one period per call and checkpoints in between.
+  // options.cancel is honoured as everywhere else (period start and between
+  // tokens); a caller that must stop only at period boundaries passes
+  // options without a token and polls its own between calls.
+  void RunSingleUntil(int64_t until);
+  // The next period to generate. Past the horizon once the trace is done.
+  int64_t NextPeriod() const { return period_; }
+
+  // Period-boundary state, valid between RunSingleUntil calls. SaveState
+  // writes next_user, then the flavor generator, then the lifetime
+  // generator: the layout GenCursor streaming checkpoints carry. The DOH day
+  // and the Rng travel beside it in the blob (the caller owns both), and the
+  // period travels in GenCursor::next_period, so LoadState takes it back.
+  void SaveState(std::ostream& out) const;
+  void LoadState(std::istream& in, int64_t next_period);
+
   // Gather/scatter access for the needed step's generator.
   LstmState* StepState();
   Matrix* StepLogits();
@@ -76,6 +117,11 @@ class TraceStreamMachine {
   // (class-factored flavor head) and no logits row exists to scatter.
   bool StepWantsLogits() const;
 
+  // Jobs generated so far (since the last ClearJobs). Streaming hands them to
+  // its sink after every period and clears them, so a month-scale trace is
+  // never held in memory whole.
+  const std::vector<Job>& Jobs() const { return trace_.Jobs(); }
+  void ClearJobs() { trace_.MutableJobs().clear(); }
   Trace&& TakeTrace() { return std::move(trace_); }
 
  private:
@@ -85,7 +131,10 @@ class TraceStreamMachine {
   const BatchArrivalModel& arrivals_;
   const LifetimeBinning& binning_;
   size_t index_;
-  Rng rng_;
+  // The engine route owns its stream; the caller-driven route points rng_
+  // at the caller's generator and leaves owned_rng_ unused.
+  Rng owned_rng_;
+  Rng* rng_;
   Trace trace_;
   int doh_day_;
   FlavorLstmModel::Generator flavor_gen_;
@@ -96,6 +145,9 @@ class TraceStreamMachine {
   Phase phase_ = Phase::kPeriodStart;
   Need need_ = Need::kDone;
   int64_t period_;
+  // Advance stops at this period boundary (the horizon unless
+  // RunSingleUntil pauses earlier).
+  int64_t end_period_;
   std::vector<std::vector<int32_t>> batches_;
   size_t batch_idx_ = 0;
   size_t job_idx_ = 0;
@@ -150,16 +202,17 @@ class BatchTraceEngine {
 // `shards` independent BatchTraceEngines (shard s owns indices first + s,
 // first + s + shards, ...) and runs one engine per ThreadPool task, so up to
 // `shards` batch windows are in flight at once. Each shard owns its own
-// machines, workspaces, and per-stream Rng::Streams, and runs its inner
-// per-layer GEMM fan-out under ScopedInnerParallelism(pool / shards) so
-// shards never oversubscribe the pool. Completed traces from all shards are
-// funneled through `emit` under one mutex, still in per-shard completion
-// order but interleaved across shards — the caller's reorder buffer restores
-// index order, and because every trace is a pure function of (base, index)
-// the merged output is byte-identical to a single engine at any shard count.
-// `emit` returning false stops every shard early. Records the
-// `gen.shard.{ticks,rows}` counters and `gen.shard.occupancy` gauge.
-// `shards <= 1` degenerates to one un-sharded engine on the calling thread.
+// machines, workspaces, and per-stream Rng::Streams; its GEMMs run inline on
+// its pool thread like every nested parallel section. Completed traces from
+// all shards are funneled through `emit` under one mutex, still in per-shard
+// completion order but interleaved across shards — the caller's reorder
+// buffer restores index order, and because every trace is a pure function of
+// (base, index) the merged output is byte-identical to a single engine at
+// any shard count. `emit` returning false stops every shard early. Records
+// the `gen.shard.{ticks,rows}` counters and `gen.shard.occupancy` gauge.
+// `shards <= 1` degenerates to one un-sharded engine on the calling thread;
+// `window` 0 is clamped to 1. WorkloadModel runs one shard per pool thread,
+// clamped to the population.
 void RunShardedBatchEngines(const WorkloadModel& model,
                             const WorkloadModel::GenerateOptions& options,
                             uint64_t base, size_t first, size_t count,

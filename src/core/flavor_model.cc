@@ -12,7 +12,6 @@
 #include "src/nn/losses.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_span.h"
-#include "src/util/cancel.h"
 #include "src/util/check.h"
 #include "src/util/fault.h"
 #include "src/util/log.h"
@@ -389,19 +388,6 @@ void FlavorLstmModel::Generator::LoadState(std::istream& in) {
   CG_CHECK_MSG(static_cast<bool>(in), "truncated flavor generator state");
   prev_token_ = static_cast<size_t>(prev);
   ReadLstmState(in, &state_);
-}
-
-std::vector<std::vector<int32_t>> FlavorLstmModel::Generator::GeneratePeriod(
-    int64_t period, int64_t n_batches, Rng& rng, size_t max_jobs,
-    const CancelToken* cancel) {
-  StartPeriod(period, n_batches, max_jobs);
-  while (PeriodActive()) {
-    if (cancel != nullptr && cancel->Cancelled()) {
-      break;  // Partial period: the caller discards the whole trace.
-    }
-    StepToken(rng);
-  }
-  return TakeBatches();
 }
 
 void FlavorLstmModel::Generator::StartPeriod(int64_t period, int64_t n_batches,

@@ -26,7 +26,6 @@
 
 namespace cloudgen {
 
-class CancelToken;
 class Rng;
 
 struct FlavorModelConfig {
@@ -108,9 +107,9 @@ class FlavorLstmModel {
   void InvalidatePackedForTest() { network_.InvalidatePacked(); }
   void PrepackForTest() { network_.Prepack(); }
 
-  // Stateful generator: call GeneratePeriod for consecutive periods of one
-  // sampled trace (hidden state persists across periods, so cross-period
-  // momentum carries through).
+  // Stateful generator for consecutive periods of one sampled trace (hidden
+  // state persists across periods, so cross-period momentum carries
+  // through). TraceStreamMachine (src/core/batch_generator.h) drives it.
   class Generator {
    public:
     // `eob_scale` post-processes the EOB token's probability at every step
@@ -123,20 +122,13 @@ class FlavorLstmModel {
     Generator(const FlavorLstmModel& model, int doh_day, double eob_scale = 1.0,
               GuardPolicy guard = GuardPolicy::kAbort);
 
-    // Generates all jobs for `period` as `n_batches` batches of flavors.
-    // A safety cap bounds runaway sequences. When `cancel` is set, the token
-    // loop winds down early once cancellation is requested (the partial
-    // period is discarded by the caller, never persisted).
-    std::vector<std::vector<int32_t>> GeneratePeriod(
-        int64_t period, int64_t n_batches, Rng& rng,
-        size_t max_jobs = kGenMaxJobsPerPeriod, const CancelToken* cancel = nullptr);
-
-    // Decomposed token machine — the same per-token cycle GeneratePeriod
-    // runs, split open so the batched engine (src/core/batch_generator.h)
-    // can execute the LSTM step of many generators as one gathered batch.
+    // Token machine for one period: `n_batches` batches of flavors, with a
+    // safety cap (`max_jobs`) bounding runaway sequences. It is split open so
+    // the batched engine (src/core/batch_generator.h) can execute the LSTM
+    // step of many generators as one gathered batch.
     // Protocol: StartPeriod, then while PeriodActive() either call
-    // StepToken (single-stream: encode + LSTM step + sample in one call;
-    // exactly one GeneratePeriod iteration) or the split halves —
+    // StepToken (single-stream: encode + LSTM step + sample in one call)
+    // or the split halves —
     // BeginStep(x_row) to encode this step's input into a gathered batch
     // row, an external LSTM step that scatters h/c (and, for dense heads,
     // the logits row) back into MutableState()/MutableLogits(), then

@@ -27,6 +27,7 @@
 
 namespace cloudgen {
 
+class CancelToken;
 class TraceSink;
 
 struct WorkloadModelConfig {
@@ -65,37 +66,18 @@ class WorkloadModel {
     // winds down at the next safe boundary; sink-based runs seal what is
     // buffered and checkpoint so --resume-gen continues bitwise-identically.
     const CancelToken* cancel = nullptr;
-    // Max traces stepped in lockstep by the batched multi-stream engine
-    // (GenerateMany; see src/core/batch_generator.h): each tick runs the
-    // active streams' LSTM steps as one blocked GEMM batch instead of
-    // per-trace GEMVs. Output bytes are identical for every window — each
-    // stream draws only from its own Rng::Stream and batched GEMM rows are
-    // bitwise-equal to batch-1 steps — so this is purely a throughput knob.
-    // 0 disables the engine and keeps the legacy trace-parallel
-    // single-stream path (the bitwise oracle route). Deliberately NOT part
-    // of the resume fingerprint: checkpoints transfer across window
-    // settings.
+    // Max traces stepped in lockstep per batch window by the multi-stream
+    // engine (GenerateMany and serve; see src/core/batch_generator.h): each
+    // tick runs the active streams' LSTM steps as one blocked GEMM batch
+    // instead of per-trace GEMVs, with one window in flight per pool thread.
+    // Output bytes are identical for every window — each stream draws only
+    // from its own Rng::Stream and batched GEMM rows are bitwise-equal to
+    // batch-1 steps — so this is purely a throughput knob; 0 means 1.
+    // Generate and GenerateStreaming step their one trace singly and ignore
+    // it. Deliberately NOT part of the resume fingerprint: checkpoints
+    // transfer across window settings.
     size_t batch_window = 256;
-    // Number of independent batch windows in flight (sharded tick
-    // scheduler, src/core/batch_generator.h): the trace population is
-    // round-robin partitioned across this many BatchTraceEngines, one per
-    // ThreadPool task, so generation scales with cores beyond the
-    // GEMM-level parallelism of one window. 0 (the default) auto-sizes to
-    // the pool (see EffectiveGenShards); 1 forces the single-window
-    // scheduler. Like batch_window this is purely a throughput knob — every
-    // trace is a pure function of (base, index), so bytes are identical at
-    // any shard count — and it is likewise NOT part of the resume
-    // fingerprint: checkpoints transfer across shard settings. Ignored by
-    // GenerateStreaming (one trace has nothing to shard) and by the
-    // single-stream path (batch_window == 0).
-    size_t gen_shards = 0;
   };
-
-  // Shard count GenerateMany actually uses: `options.gen_shards` when set,
-  // else one shard per pool thread, both clamped to the population (never
-  // more shards than traces, never 0). With a 1-thread pool the auto
-  // default is 1 — the sharded scheduler only engages when it can overlap.
-  static size_t EffectiveGenShards(const GenerateOptions& options, size_t count);
 
   // Samples one synthetic trace covering [from_period, to_period). One DOH
   // day is sampled per trace so the whole sample coheres with one recent-past
@@ -109,9 +91,9 @@ class WorkloadModel {
                                  const GenerateOptions& options, Rng& rng) const;
 
   // Repeated sampling for prediction intervals / scheduler tuning. Traces
-  // are generated in parallel on the global thread pool, each from its own
-  // deterministic seed-derived RNG stream (Rng::Stream), so the result is
-  // bitwise-identical for any thread count.
+  // are generated on the global thread pool (one batch window per pool
+  // thread), each from its own deterministic seed-derived RNG stream
+  // (Rng::Stream), so the result is bitwise-identical for any thread count.
   std::vector<Trace> GenerateMany(const GenerateOptions& options, size_t count,
                                   Rng& rng) const;
 
@@ -176,7 +158,8 @@ class WorkloadModel {
 
   // Appends the concatenated rows of traces [first, first + count), in index
   // order — the bytes GenerateMany would flush for that index range. The
-  // range shares one batched (and, when profitable, sharded) engine run, so
+  // range shares one batched (and, with several pool threads, sharded)
+  // engine run, so
   // the serve fetch path amortizes window fill across traces instead of
   // paying a cold engine per trace.
   void GenerateTraceRowsRange(const GenerateOptions& options, uint64_t base,
@@ -229,10 +212,6 @@ class WorkloadModel {
                                const WorkloadModelConfig& config);
 
  private:
-  // Checkpointable per-trace generation state: both stage generators plus
-  // the synthetic-user counter. Defined in the .cc.
-  class PeriodEngine;
-
   BatchArrivalModel arrival_model_;
   FlavorLstmModel flavor_model_;
   LifetimeLstmModel lifetime_model_;

@@ -326,10 +326,11 @@ void StreamServer::HandleConnection(Socket conn) {
                      options_.io_timeout_ms, nullptr);
   }
   conn.Close();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    --active_conns_;
-  }
+  // Notify under the lock: once Wait() can observe zero connections it may
+  // return and ~StreamServer destroy conn_cv_, so this detached thread must
+  // not touch the condvar after releasing conn_mu_.
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  --active_conns_;
   conn_cv_.notify_all();
 }
 

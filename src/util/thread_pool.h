@@ -9,17 +9,12 @@
 // only changes *when* a unit runs, never *what* it computes — `--threads N`
 // must produce bitwise-identical results to `--threads 1` for every N.
 //
-// Nested-submit safety: a ParallelFor issued from inside a pool worker runs
-// inline on the calling thread by default (no re-enqueue), so nested parallel
-// sections (e.g. a parallel GEMM inside a BPTT shard task) cannot deadlock
-// the pool. A task that knows the pool has headroom can opt into *bounded*
-// nested fan-out with ScopedInnerParallelism: nested submits are then split
-// into at most `cap` units, and the submitting thread joins by helping drain
-// the shared queue (it blocks only when the queue is empty and its remaining
-// units are already running on other threads — so no cycle of waiting tasks
-// can form, and concurrency never exceeds the configured cap per section).
-// The sharded generation scheduler uses this so `shards × inner ≤ pool size`
-// instead of shard workers oversubscribing cores with inner GEMM fan-out.
+// Nested-submit safety: a ParallelFor or RunAll issued from inside a pool
+// task runs inline on the calling thread (no re-enqueue), so nested parallel
+// sections (e.g. a parallel GEMM inside a BPTT shard task, or a generation
+// shard's per-layer GEMMs) cannot deadlock or oversubscribe the pool. Only
+// top-level sections fan out; their submitter joins by helping drain the
+// queue.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
 
@@ -57,9 +52,7 @@ class ThreadPool {
   // finished. Indices are grouped into contiguous chunks; chunking never
   // affects results because callers only submit index-independent work.
   // The first exception thrown by any fn(i) is rethrown on the caller after
-  // all work has drained. Called from inside a pool task, runs inline unless
-  // the task opted into bounded nested fan-out (ScopedInnerParallelism), in
-  // which case at most that many chunks run concurrently.
+  // all work has drained. Called from inside a pool task, runs inline.
   void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn);
 
   // Cancellation-aware variant: once `cancel` is set, remaining indices are
@@ -91,31 +84,6 @@ class ThreadPool {
   std::condition_variable work_available_;
   std::queue<std::function<void()>> queue_;
   bool shutdown_ = false;
-};
-
-// RAII cap on the concurrency available to parallel sections issued from the
-// current thread while the scope is alive. Semantics by context:
-//  * inside a pool task, the default (no scope) is 1 — nested submits run
-//    inline, the historical safe behaviour;
-//  * a scope of `cap > 1` lets nested ParallelFor/RunAll fan out into at
-//    most `cap` concurrent units (the submitting thread counts as one; it
-//    joins by helping drain the queue, never by idling on a full queue);
-//  * on a non-pool thread the default is "whole pool", and a scope bounds it
-//    the same way (e.g. a serve connection thread capping its fan-out).
-// `cap == 0` is normalized to 1. Scopes nest; each restores the previous cap.
-// Units spawned by a bounded section run with the default cap (1 when they
-// land on pool threads), so a cap never multiplies transitively —
-// `sections × cap ≤ pool size` is the caller's whole obligation.
-class ScopedInnerParallelism {
- public:
-  explicit ScopedInnerParallelism(size_t cap);
-  ~ScopedInnerParallelism();
-
-  ScopedInnerParallelism(const ScopedInnerParallelism&) = delete;
-  ScopedInnerParallelism& operator=(const ScopedInnerParallelism&) = delete;
-
- private:
-  size_t saved_;
 };
 
 // Process-wide pool used by the compute substrate. Defaults to inline-only

@@ -1,22 +1,26 @@
 // Byte-identity suite for the batched multi-stream inference engine
 // (src/core/batch_generator.h). The engine's contract is that generation is
-// purely a throughput knob: for ANY batch window and ANY thread count, every
-// trace is bitwise-identical to the single-stream oracle route
-// (batch_window = 0, the legacy per-trace path), because each stream draws
-// only from its own Rng::Stream and batched GEMM rows reduce in the same
-// per-element order as batch-1 GEMVs.
+// purely a throughput knob: for ANY batch window, shard count and thread
+// count, every trace is bitwise-identical to the test-only reference loop
+// (tests/gen_oracle.h), because each stream draws only from its own
+// Rng::Stream and batched GEMM rows reduce in the same per-element order as
+// batch-1 GEMVs.
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/batch_generator.h"
 #include "src/core/workload_model.h"
 #include "src/synth/synthetic_cloud.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/gen_oracle.h"
 
 namespace cloudgen {
 namespace {
@@ -65,7 +69,7 @@ const WorkloadModel& DenseModel() {
 
 // Same training data, but with the class-factored softmax head on the flavor
 // network. A different sampling distribution than the dense head, so it is
-// only ever compared against its own single-stream oracle.
+// only ever compared against its own reference run.
 const WorkloadModel& FactoredModel() {
   static const WorkloadModel* model = [] {
     SetGlobalThreads(1);
@@ -98,15 +102,21 @@ void ExpectSameTrace(const Trace& a, const Trace& b, size_t which,
 
 std::vector<Trace> GenerateAt(const WorkloadModel& model,
                               WorkloadModel::GenerateOptions options,
-                              size_t count, size_t window, size_t threads,
-                              size_t shards = 1) {
+                              size_t count, size_t window, size_t threads) {
   SetGlobalThreads(threads);
   options.batch_window = window;
-  options.gen_shards = shards;
   Rng rng(99);
   std::vector<Trace> traces = model.GenerateMany(options, count, rng);
   SetGlobalThreads(1);
   return traces;
+}
+
+// The reference loop on the same seed as GenerateAt.
+std::vector<Trace> Oracle(const WorkloadModel& model,
+                          const WorkloadModel::GenerateOptions& options,
+                          size_t count) {
+  Rng rng(99);
+  return OracleGenerateMany(model, options, count, rng);
 }
 
 void ExpectSameTraces(const std::vector<Trace>& oracle,
@@ -125,7 +135,7 @@ WorkloadModel::GenerateOptions BaseOptions() {
 }
 
 // The tentpole identity: batched generation at every window size and thread
-// count reproduces the single-stream oracle byte for byte. Windows below the
+// count reproduces the reference loop byte for byte. Windows below the
 // trace count force constant retire/refill churn (the active set is ragged on
 // every tick); windows above it run the whole population in one batch.
 TEST(BatchGenIdentity, BatchedMatchesOracleAcrossWindowsAndThreads) {
@@ -133,8 +143,7 @@ TEST(BatchGenIdentity, BatchedMatchesOracleAcrossWindowsAndThreads) {
   const WorkloadModel::GenerateOptions options = BaseOptions();
   constexpr size_t kCount = 70;  // > 64 so the 64-window actually refills.
 
-  const std::vector<Trace> oracle =
-      GenerateAt(model, options, kCount, /*window=*/0, /*threads=*/1);
+  const std::vector<Trace> oracle = Oracle(model, options, kCount);
   size_t total_jobs = 0;
   for (const Trace& trace : oracle) {
     total_jobs += trace.NumJobs();
@@ -142,13 +151,16 @@ TEST(BatchGenIdentity, BatchedMatchesOracleAcrossWindowsAndThreads) {
   ASSERT_GT(total_jobs, 0u);  // The window must actually produce work.
 
   for (const size_t window : {size_t{1}, size_t{7}, size_t{64}, size_t{513}}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
       const std::string what = "window=" + std::to_string(window) +
                                " threads=" + std::to_string(threads);
       ExpectSameTraces(oracle, GenerateAt(model, options, kCount, window, threads),
                        what);
     }
   }
+  // Window 0 is clamped to 1: the same bytes.
+  ExpectSameTraces(oracle, GenerateAt(model, options, kCount, 0, 4),
+                   "window=0 threads=4");
 }
 
 // Staggered stream lengths: a longer horizon and a scaled arrival rate make
@@ -162,8 +174,7 @@ TEST(BatchGenIdentity, RaggedStaggeredStreamsStayByteIdentical) {
   options.arrival_scale = 2.0;
   constexpr size_t kCount = 20;
 
-  const std::vector<Trace> oracle =
-      GenerateAt(model, options, kCount, /*window=*/0, /*threads=*/1);
+  const std::vector<Trace> oracle = Oracle(model, options, kCount);
   ExpectSameTraces(oracle, GenerateAt(model, options, kCount, 7, 4),
                    "ragged window=7 threads=4");
   ExpectSameTraces(oracle, GenerateAt(model, options, kCount, 3, 1),
@@ -180,22 +191,53 @@ TEST(BatchGenIdentity, WhatIfKnobsMatchOracle) {
   options.interpolation = Interpolation::kStepped;
   constexpr size_t kCount = 12;
 
-  const std::vector<Trace> oracle =
-      GenerateAt(model, options, kCount, /*window=*/0, /*threads=*/1);
+  const std::vector<Trace> oracle = Oracle(model, options, kCount);
   ExpectSameTraces(oracle, GenerateAt(model, options, kCount, 5, 4),
                    "eob_scale window=5 threads=4");
 }
 
+// The single-step route (Generate, GenerateWithArrivalModel) runs the same
+// machine on the caller's Rng: the trace matches the reference loop and the
+// caller's generator is left exactly where the reference leaves it. The
+// override is a no-DOH arrival fit, so the DOH day must still come from the
+// model's own arrival history.
+TEST(BatchGenIdentity, SingleStepRouteMatchesOracle) {
+  const WorkloadModel& model = DenseModel();
+  WorkloadModel::GenerateOptions options = BaseOptions();
+  options.to_period = 3 * kPeriodsPerDay + 48;
+  BatchArrivalModel no_doh;
+  ArrivalModelConfig config;
+  config.use_doh = false;
+  no_doh.Fit(TrainingTrace(), ArrivalGranularity::kBatches, config);
+
+  const BatchArrivalModel* own = &model.ArrivalModel();
+  const BatchArrivalModel* override_model = &no_doh;
+  for (const BatchArrivalModel* arrivals : {own, override_model}) {
+    for (const uint64_t seed : {uint64_t{5}, uint64_t{6}, uint64_t{7}}) {
+      const std::string what = "seed=" + std::to_string(seed) +
+                               (arrivals == &no_doh ? " no-doh override" : "");
+      Rng oracle_rng(seed);
+      const Trace oracle = OracleGenerate(model, *arrivals, options, oracle_rng);
+      Rng rng(seed);
+      const Trace got = arrivals == own
+                            ? model.Generate(options, rng)
+                            : model.GenerateWithArrivalModel(*arrivals, options, rng);
+      ASSERT_GT(oracle.NumJobs(), 0u) << what;
+      ExpectSameTrace(oracle, got, 0, what);
+      EXPECT_EQ(oracle_rng.Next(), rng.Next()) << what;
+    }
+  }
+}
+
 // Class-factored softmax: a different sampling distribution than the dense
-// head (two draws per token), compared against its own single-stream oracle.
+// head (two draws per token), compared against its own reference run.
 TEST(BatchGenIdentity, FactoredHeadBatchedMatchesOracle) {
   const WorkloadModel& model = FactoredModel();
   ASSERT_TRUE(model.FlavorModel().Network().IsFactored());
   const WorkloadModel::GenerateOptions options = BaseOptions();
   constexpr size_t kCount = 24;
 
-  const std::vector<Trace> oracle =
-      GenerateAt(model, options, kCount, /*window=*/0, /*threads=*/1);
+  const std::vector<Trace> oracle = Oracle(model, options, kCount);
   size_t total_jobs = 0;
   for (const Trace& trace : oracle) {
     total_jobs += trace.NumJobs();
@@ -212,23 +254,24 @@ TEST(BatchGenIdentity, FactoredHeadBatchedMatchesOracle) {
   }
 }
 
-// Sharded tick scheduler (RunShardedBatchEngines): the full shards x windows
-// x threads matrix must reproduce the gen_shards = 1 single-window oracle
-// byte for byte. Shards beyond the thread count still run (they just share
-// workers); windows below count/shards force per-shard retire/refill churn.
+// Sharded tick scheduler (RunShardedBatchEngines, called directly because
+// WorkloadModel always runs one shard per pool thread): the full shards x
+// windows x threads matrix must reproduce the reference loop byte for byte.
+// Shards beyond the thread count still run (they just share workers);
+// windows below count/shards force per-shard retire/refill churn.
 TEST(BatchGenIdentity, ShardedMatchesOracleAcrossShardsWindowsAndThreads) {
   const WorkloadModel& model = DenseModel();
   const WorkloadModel::GenerateOptions options = BaseOptions();
   constexpr size_t kCount = 70;
 
-  const std::vector<Trace> oracle =
-      GenerateAt(model, options, kCount, /*window=*/64, /*threads=*/1,
-                 /*shards=*/1);
+  const std::vector<Trace> oracle = Oracle(model, options, kCount);
   size_t total_jobs = 0;
   for (const Trace& trace : oracle) {
     total_jobs += trace.NumJobs();
   }
   ASSERT_GT(total_jobs, 0u);
+  Rng anchor(99);
+  const uint64_t base = anchor.Next();  // GenerateMany's family anchor.
 
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     for (const size_t window : {size_t{1}, size_t{7}, size_t{64}}) {
@@ -236,17 +279,22 @@ TEST(BatchGenIdentity, ShardedMatchesOracleAcrossShardsWindowsAndThreads) {
         const std::string what = "shards=" + std::to_string(shards) +
                                  " window=" + std::to_string(window) +
                                  " threads=" + std::to_string(threads);
-        ExpectSameTraces(
-            oracle, GenerateAt(model, options, kCount, window, threads, shards),
-            what);
+        SetGlobalThreads(threads);
+        std::map<size_t, Trace> done;
+        RunShardedBatchEngines(model, options, base, 0, kCount, window, shards,
+                               [&done](size_t i, Trace&& trace) {
+                                 done.emplace(i, std::move(trace));
+                                 return true;
+                               });
+        SetGlobalThreads(1);
+        std::vector<Trace> got;
+        for (auto& [index, trace] : done) {
+          got.push_back(std::move(trace));
+        }
+        ExpectSameTraces(oracle, got, what);
       }
     }
   }
-  // Auto-sharding (gen_shards = 0 sizes to the pool) is the same bytes too.
-  ExpectSameTraces(oracle,
-                   GenerateAt(model, options, kCount, /*window=*/7,
-                              /*threads=*/4, /*shards=*/0),
-                   "auto shards threads=4");
 }
 
 // The reference (unpacked) step route must agree with the packed fast path

@@ -1,24 +1,35 @@
 // Kill/resume soak tests for sink-based generation: the sink route must
-// byte-match the legacy vector route at any thread count, graceful
-// cancellation plus --resume-gen must reassemble the exact uninterrupted
-// byte string, a gen_write_kill crash in the seal→manifest window must be
-// absorbed, and a stale/mismatched checkpoint must be rejected loudly.
+// byte-match the test-only reference loop (tests/gen_oracle.h) at any thread
+// count, streaming checkpoints must carry exactly the reference loop's state
+// bytes at every period boundary, graceful cancellation plus --resume-gen
+// must reassemble the exact uninterrupted byte string, a gen_write_kill crash
+// in the seal→manifest window must be absorbed, and a stale/mismatched
+// checkpoint must be rejected loudly.
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/batch_generator.h"
+#include "src/core/gen_checkpoint.h"
 #include "src/core/workload_model.h"
 #include "src/synth/synthetic_cloud.h"
 #include "src/trace/trace_sink.h"
+#include "src/util/atomic_file.h"
 #include "src/util/cancel.h"
 #include "src/util/fault.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/gen_oracle.h"
 
 namespace cloudgen {
 namespace {
@@ -85,10 +96,10 @@ class GenResumeTest : public ::testing::Test {
     return testing::TempDir() + "/" + std::to_string(::getpid()) + "." + name;
   }
 
-  // The oracle byte string: the legacy vector route serialized row by row.
+  // The oracle byte string: the reference loop serialized row by row.
   static std::string ExpectedBytes() {
     Rng rng(kSeed);
-    const std::vector<Trace> traces = model_->GenerateMany(Options(), kCount, rng);
+    const std::vector<Trace> traces = OracleGenerateMany(*model_, Options(), kCount, rng);
     std::string out;
     for (size_t i = 0; i < traces.size(); ++i) {
       for (const Job& job : traces[i].Jobs()) {
@@ -99,13 +110,11 @@ class GenResumeTest : public ::testing::Test {
   }
 
   // One sink-based run into `dir`. Returns the report; asserts OK status.
-  // `shards` is GenerateOptions::gen_shards (0 = auto-size to the pool).
+  // The run uses one shard per thread of the current global pool.
   static WorkloadModel::GenerateReport RunSinkOnce(
-      const std::string& dir, bool resume, const CancelToken* cancel,
-      size_t shards = 0) {
+      const std::string& dir, bool resume, const CancelToken* cancel) {
     WorkloadModel::GenerateOptions options = Options();
     options.cancel = cancel;
-    options.gen_shards = shards;
     SegmentedFileSink::Options sink_options;
     sink_options.dir = dir;
     sink_options.segment_bytes = 256;  // Several seals per trace.
@@ -151,7 +160,7 @@ TEST_F(GenResumeTest, SinkRouteMatchesVectorRouteAcrossThreadCounts) {
 TEST_F(GenResumeTest, StreamingRouteMatchesGenerate) {
   WorkloadModel::GenerateOptions options = Options();
   Rng rng_oracle(kSeed);
-  const Trace oracle = model_->Generate(options, rng_oracle);
+  const Trace oracle = OracleGenerate(*model_, options, rng_oracle);
   std::string expected;
   for (const Job& job : oracle.Jobs()) {
     AppendJobRow(0, job, &expected);
@@ -222,7 +231,7 @@ TEST_F(GenResumeTest, StreamingDeadlineInterruptsThenResumesByteIdentically) {
   WorkloadModel::GenerateOptions options = Options();
   options.to_period = kPeriodsPerDay / 2;  // Long enough to outlive the deadline.
   Rng rng_oracle(kSeed);
-  const Trace oracle = model_->Generate(options, rng_oracle);
+  const Trace oracle = OracleGenerate(*model_, options, rng_oracle);
   std::string expected;
   for (const Job& job : oracle.Jobs()) {
     AppendJobRow(0, job, &expected);
@@ -268,9 +277,10 @@ TEST_F(GenResumeTest, StreamingDeadlineInterruptsThenResumesByteIdentically) {
   EXPECT_EQ(ConcatOrDie(dir), expected);
 }
 
-// gen_shards is excluded from the checkpoint fingerprint (like batch_window
-// and --threads), so a run checkpointed at one shard count must resume —
-// accepted, not FAILED_PRECONDITION — at any other, byte-identically.
+// The shard count (one per pool thread) is excluded from the checkpoint
+// fingerprint, like batch_window and --threads, so a run checkpointed at one
+// shard count must resume — accepted, not FAILED_PRECONDITION — at any
+// other, byte-identically.
 TEST_F(GenResumeTest, CheckpointTransfersAcrossShardCounts) {
   const std::string expected = ExpectedBytes();
 
@@ -280,12 +290,13 @@ TEST_F(GenResumeTest, CheckpointTransfersAcrossShardCounts) {
     const std::string dir = Dir("cross_shard_pre");
     CancelToken cancel;
     cancel.RequestCancel();
+    SetGlobalThreads(1);
     const WorkloadModel::GenerateReport first =
-        RunSinkOnce(dir, /*resume=*/false, &cancel, /*shards=*/1);
+        RunSinkOnce(dir, /*resume=*/false, &cancel);
     EXPECT_TRUE(first.interrupted);
     SetGlobalThreads(4);
     const WorkloadModel::GenerateReport second =
-        RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr, /*shards=*/4);
+        RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr);
     EXPECT_TRUE(second.resumed);
     EXPECT_FALSE(second.interrupted);
     EXPECT_EQ(ConcatOrDie(dir), expected);
@@ -302,12 +313,12 @@ TEST_F(GenResumeTest, CheckpointTransfersAcrossShardCounts) {
       cancel.RequestCancel();
     });
     const WorkloadModel::GenerateReport first =
-        RunSinkOnce(dir, /*resume=*/false, &cancel, /*shards=*/4);
+        RunSinkOnce(dir, /*resume=*/false, &cancel);
     trigger.join();
     SetGlobalThreads(1);
     if (first.interrupted) {
       const WorkloadModel::GenerateReport second =
-          RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr, /*shards=*/1);
+          RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr);
       EXPECT_FALSE(second.interrupted);
       EXPECT_EQ(first.traces + second.traces, kCount);
     }
@@ -317,28 +328,139 @@ TEST_F(GenResumeTest, CheckpointTransfersAcrossShardCounts) {
 
 // Sharded analog of MidRunCancelThenResumeIsByteIdentical: repeated mid-run
 // stops (the in-process SIGTERM path — the CLI's handler trips this same
-// CancelToken) with multiple windows in flight, resumed at a different shard
-// count each round.
+// CancelToken) with four windows in flight, resumed with two each round.
 TEST_F(GenResumeTest, ShardedMidRunCancelThenResumeIsByteIdentical) {
   const std::string expected = ExpectedBytes();
-  SetGlobalThreads(4);
   for (int round = 0; round < 3; ++round) {
     const std::string dir = Dir("sharded_midcancel_r" + std::to_string(round));
+    SetGlobalThreads(4);
     CancelToken cancel;
     std::thread trigger([&cancel, round] {
       std::this_thread::sleep_for(std::chrono::milliseconds(2 * round + 1));
       cancel.RequestCancel();
     });
     const WorkloadModel::GenerateReport first =
-        RunSinkOnce(dir, /*resume=*/false, &cancel, /*shards=*/4);
+        RunSinkOnce(dir, /*resume=*/false, &cancel);
     trigger.join();
     if (first.interrupted) {
-      const WorkloadModel::GenerateReport second = RunSinkOnce(
-          dir, /*resume=*/true, /*cancel=*/nullptr, /*shards=*/size_t{2});
+      SetGlobalThreads(2);
+      const WorkloadModel::GenerateReport second =
+          RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr);
       EXPECT_FALSE(second.interrupted);
       EXPECT_EQ(first.traces + second.traces, kCount);
     }
     EXPECT_EQ(ConcatOrDie(dir), expected) << "round=" << round;
+  }
+}
+
+// Seals every non-empty period and, at each commit point, records the
+// checkpoint the previous seal left on disk — so a streaming run exposes
+// every state blob it writes, keyed by the period it resumes at.
+class CheckpointTapSink : public TraceSink {
+ public:
+  explicit CheckpointTapSink(std::string checkpoint_path)
+      : checkpoint_path_(std::move(checkpoint_path)) {}
+
+  Status BeginTrace(size_t) override { return OkStatus(); }
+  Status Append(const Job&) override {
+    ++buffered_;
+    return OkStatus();
+  }
+  Status EndTrace() override { return OkStatus(); }
+  Status CommitPoint(bool, bool* sealed) override {
+    Tap();
+    *sealed = buffered_ > 0;
+    buffered_ = 0;
+    return OkStatus();
+  }
+  Status Finish() override { return OkStatus(); }
+
+  // next_period -> state blob.
+  const std::map<int64_t, std::string>& Blobs() const { return blobs_; }
+
+ private:
+  void Tap() {
+    GenCursor cursor;
+    if (FileExists(checkpoint_path_) &&
+        LoadGenCheckpoint(checkpoint_path_, &cursor).ok() &&
+        !cursor.state_blob.empty()) {
+      blobs_[cursor.next_period] = cursor.state_blob;
+    }
+  }
+
+  std::string checkpoint_path_;
+  size_t buffered_ = 0;
+  std::map<int64_t, std::string> blobs_;
+};
+
+// Checkpoint-format compatibility: the streaming state blob is the DOH day,
+// then next_user + flavor generator + lifetime generator, then the Rng —
+// the layout streaming checkpoints have always had. At every period boundary
+// the machine's state must equal the reference loop's bytes, and every blob a
+// real streaming run checkpoints must too, so checkpoints written by older
+// builds keep resuming.
+TEST_F(GenResumeTest, StreamingStateBlobMatchesOracleAtEveryPeriodBoundary) {
+  const WorkloadModel::GenerateOptions options = Options();
+  Rng oracle_rng(kSeed);
+  const int doh_day = model_->ArrivalModel().SampleDohDay(oracle_rng, options.doh_mode);
+  OraclePeriodEngine oracle(*model_, model_->ArrivalModel(), options, doh_day);
+  Rng machine_rng(kSeed);
+  ASSERT_EQ(model_->ArrivalModel().SampleDohDay(machine_rng, options.doh_mode), doh_day);
+  TraceStreamMachine machine(*model_, model_->ArrivalModel(), options, &machine_rng,
+                             doh_day);
+
+  const auto blob = [doh_day](const auto& engine, const Rng& rng) {
+    std::ostringstream out;
+    const int32_t day = doh_day;
+    out.write(reinterpret_cast<const char*>(&day), sizeof(day));
+    engine.SaveState(out);
+    rng.SaveState(out);
+    return std::move(out).str();
+  };
+
+  std::map<int64_t, std::string> oracle_blobs;
+  size_t jobs = 0;
+  for (int64_t period = options.from_period; period < options.to_period; ++period) {
+    const std::string expected = blob(oracle, oracle_rng);
+    ASSERT_EQ(blob(machine, machine_rng), expected) << "before period " << period;
+    oracle_blobs[period] = expected;
+    std::vector<Job> oracle_jobs;
+    oracle.RunPeriod(
+        period, oracle_rng, [&oracle_jobs](const Job& job) { oracle_jobs.push_back(job); },
+        /*allow_midperiod_cancel=*/false);
+    machine.RunSingleUntil(period + 1);
+    ASSERT_EQ(machine.Jobs().size(), oracle_jobs.size()) << "period " << period;
+    for (size_t j = 0; j < oracle_jobs.size(); ++j) {
+      EXPECT_EQ(machine.Jobs()[j].end_period, oracle_jobs[j].end_period);
+      EXPECT_EQ(machine.Jobs()[j].flavor, oracle_jobs[j].flavor);
+      EXPECT_EQ(machine.Jobs()[j].user, oracle_jobs[j].user);
+    }
+    jobs += oracle_jobs.size();
+    machine.ClearJobs();
+  }
+  ASSERT_GT(jobs, 0u);
+  EXPECT_EQ(machine.NextPeriod(), options.to_period);
+  oracle_blobs[options.to_period] = blob(oracle, oracle_rng);
+  EXPECT_EQ(blob(machine, machine_rng), oracle_blobs[options.to_period]);
+
+  // The blobs a streaming run actually checkpoints.
+  const std::string dir = Dir("blob_tap");
+  ASSERT_TRUE(::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST);
+  const std::string checkpoint = dir + "/gen.ckpt";
+  ::unlink(checkpoint.c_str());
+  CheckpointTapSink sink(checkpoint);
+  WorkloadModel::GenerateRun run;
+  run.sink = &sink;
+  run.checkpoint_path = checkpoint;
+  run.config_fingerprint = kSeed;
+  WorkloadModel::GenerateReport report;
+  Rng rng(kSeed);
+  ASSERT_TRUE(model_->GenerateStreaming(options, rng, run, &report).ok());
+  EXPECT_EQ(report.jobs, jobs);
+  ASSERT_GT(sink.Blobs().size(), 4u);
+  for (const auto& [next_period, state] : sink.Blobs()) {
+    ASSERT_TRUE(oracle_blobs.count(next_period) > 0) << next_period;
+    EXPECT_EQ(state, oracle_blobs[next_period]) << "checkpoint at " << next_period;
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the ThreadPool / ParallelFor primitive: full coverage of the
 // index range, empty ranges, exception propagation, nested-submit safety
-// (inner ParallelFor from a pool worker must run inline, not deadlock), and
+// (inner ParallelFor from a pool worker must run inline, not deadlock), the
+// help-drain context restore, generation's one-task-per-shard invariant, and
 // the global pool configuration knobs.
 #include "src/util/thread_pool.h"
 
@@ -13,6 +14,12 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/core/workload_model.h"
+#include "src/obs/metrics.h"
+#include "src/synth/synthetic_cloud.h"
+#include "src/trace/trace.h"
+#include "src/util/rng.h"
 
 namespace cloudgen {
 namespace {
@@ -84,53 +91,19 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   EXPECT_EQ(total.load(), kOuter * kInner);
 }
 
-// Bounded nested fan-out: a pool task under ScopedInnerParallelism(cap) may
-// run at most `cap` units of its nested section concurrently — and the
-// section must still complete (no deadlock) even when every worker is busy.
-TEST(ThreadPool, ScopedInnerParallelismBoundsNestedConcurrency) {
-  ThreadPool pool(4);
-  constexpr size_t kOuter = 4;
-  constexpr size_t kInner = 64;
-  constexpr size_t kCap = 2;
-  std::atomic<size_t> total{0};
-  std::vector<std::function<void()>> outer;
-  for (size_t o = 0; o < kOuter; ++o) {
-    outer.emplace_back([&] {
-      ScopedInnerParallelism scope(kCap);
-      std::atomic<int> running{0};
-      std::atomic<int> high_water{0};
-      pool.ParallelFor(0, kInner, [&](size_t) {
-        const int now = running.fetch_add(1) + 1;
-        int seen = high_water.load();
-        while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        running.fetch_sub(1);
-        total.fetch_add(1);
-      });
-      EXPECT_LE(high_water.load(), static_cast<int>(kCap));
-    });
-  }
-  pool.RunAll(outer);
-  EXPECT_EQ(total.load(), kOuter * kInner);
-}
-
-// After a bounded nested section, the task is still "inside the pool": a
-// later un-scoped nested ParallelFor must run inline again (the scope must
-// restore the default, including across the submitter's help-drain loop,
-// which runs stolen tasks in between).
+// The submitter's help-drain loop runs stolen tasks as pool tasks, so their
+// nested sections run inline — and then restores the submitter's own
+// context. A top-level caller that drained part of one section must still
+// fan the next one out over the pool, not run it inline.
 TEST(ThreadPool, NestedContextRestoredAfterBoundedSection) {
   ThreadPool pool(4);
+  obs::Counter& tasks_run = obs::Registry::Global().GetCounter("pool.tasks_run");
   std::atomic<size_t> total{0};
   std::vector<std::function<void()>> outer;
   for (size_t o = 0; o < 4; ++o) {
     outer.emplace_back([&] {
-      {
-        ScopedInnerParallelism scope(2);
-        pool.ParallelFor(0, 8, [&](size_t) { total.fetch_add(1); });
-      }
-      // Un-scoped again: sequential inline execution proves the inner cap
-      // and the inside-pool flag both survived the bounded section.
+      // Nested inside a pool task (or a stolen one): sequential inline
+      // execution in index order.
       std::vector<size_t> order;
       pool.ParallelFor(0, 8, [&](size_t i) { order.push_back(i); });
       ASSERT_EQ(order.size(), 8u);
@@ -140,56 +113,61 @@ TEST(ThreadPool, NestedContextRestoredAfterBoundedSection) {
       total.fetch_add(8);
     });
   }
-  pool.RunAll(outer);
-  EXPECT_EQ(total.load(), 4u * 16u);
+  for (int round = 0; round < 3; ++round) {
+    const uint64_t before = tasks_run.Value();
+    pool.RunAll(outer);
+    // Every outer task went through the queue (workers or the caller's
+    // help-drain); none ran inline because of state leaked by the previous
+    // round's drain.
+    EXPECT_EQ(tasks_run.Value() - before, outer.size()) << "round " << round;
+  }
+  EXPECT_EQ(total.load(), 3u * 4u * 8u);
 }
 
-// Oversubscription regression for the sharded-generation pattern: N shard
-// tasks each running bounded nested sections with cap = pool/N must complete
-// under full queue pressure, and never exceed the pool in total concurrency.
-TEST(ThreadPool, ShardPatternNeverOversubscribesThePool) {
-  constexpr size_t kWorkers = 4;
-  constexpr size_t kShards = 2;
-  constexpr size_t kCap = kWorkers / kShards;
-  ThreadPool pool(kWorkers);
-  std::atomic<int> running{0};
-  std::atomic<int> high_water{0};
-  std::atomic<size_t> total{0};
-  std::vector<std::function<void()>> shards;
-  for (size_t s = 0; s < kShards; ++s) {
-    shards.emplace_back([&] {
-      ScopedInnerParallelism scope(kCap);
-      for (int tick = 0; tick < 20; ++tick) {
-        pool.ParallelFor(0, 8, [&](size_t) {
-          const int now = running.fetch_add(1) + 1;
-          int seen = high_water.load();
-          while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
-          }
-          std::this_thread::sleep_for(std::chrono::microseconds(20));
-          running.fetch_sub(1);
-          total.fetch_add(1);
-        });
-      }
-    });
-  }
-  pool.RunAll(shards);
-  EXPECT_EQ(total.load(), kShards * 20u * 8u);
-  // shards × cap concurrent units is the contract (the submitting shard
-  // thread helps drain its own section, never adding beyond the cap).
-  EXPECT_LE(high_water.load(), static_cast<int>(kShards * kCap));
-}
+// Generation's shard invariant: GenerateMany runs one shard task per pool
+// thread (min(threads, traces)) and each shard's GEMMs run inline on its
+// thread, so a run adds exactly that many pool tasks and no nested ones.
+TEST(ThreadPool, GenerateManyRunsOneTaskPerShardAndNoNestedTasks) {
+  SynthProfile profile = AzureLikeProfile(0.3);
+  profile.train_days = 2;
+  profile.dev_days = 1;
+  profile.test_days = 1;
+  profile.num_flavors = 4;
+  profile.num_users = 12;
+  const Trace full = SyntheticCloud(profile, 321).Generate();
+  const Trace train =
+      ApplyObservationWindow(full, 0, 2 * kPeriodsPerDay, 2 * kPeriodsPerDay);
+  WorkloadModelConfig config;
+  config.flavor.hidden_dim = 8;
+  config.flavor.num_layers = 1;
+  config.flavor.seq_len = 16;
+  config.flavor.batch_size = 8;
+  config.flavor.epochs = 1;
+  config.lifetime.hidden_dim = 8;
+  config.lifetime.num_layers = 1;
+  config.lifetime.seq_len = 16;
+  config.lifetime.batch_size = 8;
+  config.lifetime.epochs = 1;
+  SetGlobalThreads(1);
+  WorkloadModel model;
+  Rng train_rng(42);
+  ASSERT_TRUE(model.Train(train, config, train_rng).ok());
 
-// On a non-pool thread the scope bounds top-level sections too.
-TEST(ThreadPool, ScopeBoundsTopLevelSections) {
-  ThreadPool pool(4);
-  ScopedInnerParallelism scope(1);
-  // Cap 1 means inline: sequential ordered execution on the calling thread.
-  std::vector<size_t> order;
-  pool.ParallelFor(0, 8, [&](size_t i) { order.push_back(i); });
-  ASSERT_EQ(order.size(), 8u);
-  for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(order[i], i);
+  WorkloadModel::GenerateOptions options;
+  options.from_period = 3 * kPeriodsPerDay;
+  options.to_period = 3 * kPeriodsPerDay + 12;
+  options.batch_window = 4;  // Several traces per window: multi-row GEMMs.
+  obs::Counter& tasks_run = obs::Registry::Global().GetCounter("pool.tasks_run");
+  SetGlobalThreads(4);
+  for (const size_t count : {size_t{8}, size_t{13}, size_t{3}}) {
+    Rng rng(7);
+    const uint64_t before = tasks_run.Value();
+    const std::vector<Trace> traces = model.GenerateMany(options, count, rng);
+    EXPECT_EQ(traces.size(), count);
+    EXPECT_EQ(tasks_run.Value() - before, std::min<size_t>(4, count))
+        << "count " << count;
   }
+  SetGlobalThreads(1);
 }
 
 TEST(ThreadPool, RunAllExecutesEveryTask) {
