@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "cli/flags.h"
 #include "src/core/gen_guard.h"
@@ -356,7 +357,7 @@ int RunGenerate(const Flags& flags) {
   }
   const std::string prefix = flags.GetString("model", "model");
   WorkloadModel model;
-  const Status loaded = model.LoadNetworksFromFiles(prefix, train, ConfigFrom(flags));
+  const Status loaded = model.LoadNetworksFromFiles(prefix, train, WorkloadModelConfig());
   if (!loaded.ok()) {
     std::fprintf(stderr, "failed to load %s.*.bin (run `cloudgen train` first)\n",
                  prefix.c_str());
@@ -482,7 +483,7 @@ int RunServe(const Flags& flags) {
   }
   const std::string prefix = flags.GetString("model", "model");
   WorkloadModel model;
-  const Status loaded = model.LoadNetworksFromFiles(prefix, train, ConfigFrom(flags));
+  const Status loaded = model.LoadNetworksFromFiles(prefix, train, WorkloadModelConfig());
   if (!loaded.ok()) {
     std::fprintf(stderr, "failed to load %s.*.bin (run `cloudgen train` first)\n",
                  prefix.c_str());
@@ -683,7 +684,7 @@ int RunChaos(const Flags& flags) {
   }
   const std::string prefix = flags.GetString("model", "model");
   WorkloadModel model;
-  const Status loaded = model.LoadNetworksFromFiles(prefix, train, ConfigFrom(flags));
+  const Status loaded = model.LoadNetworksFromFiles(prefix, train, WorkloadModelConfig());
   if (!loaded.ok()) {
     std::fprintf(stderr, "failed to load %s.*.bin (run `cloudgen train` first)\n",
                  prefix.c_str());
@@ -820,7 +821,7 @@ int RunEval(const Flags& flags) {
   }
   const std::string prefix = flags.GetString("model", "model");
   WorkloadModel model;
-  const Status loaded = model.LoadNetworksFromFiles(prefix, train, ConfigFrom(flags));
+  const Status loaded = model.LoadNetworksFromFiles(prefix, train, WorkloadModelConfig());
   if (!loaded.ok()) {
     return Fail(kExitInput, loaded);
   }
@@ -948,42 +949,131 @@ int RunViz(const Flags& flags) {
   return 0;
 }
 
-int Dispatch(const std::string& command, const Flags& flags) {
-  if (command == "synth") {
-    return RunSynth(flags);
+// Every command with the flags it reads, besides the global ones Main reads.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<FlagSpec> flags;
+};
+
+const Command* FindCommand(const std::string& name) {
+  static const std::vector<Command> commands = [] {
+    constexpr FlagType kBool = FlagType::kBool;
+    constexpr FlagType kString = FlagType::kString;
+    constexpr FlagType kLong = FlagType::kLong;
+    constexpr FlagType kDouble = FlagType::kDouble;
+    const auto join = [](std::vector<std::vector<FlagSpec>> groups) {
+      std::vector<FlagSpec> all;
+      for (const std::vector<FlagSpec>& group : groups) {
+        all.insert(all.end(), group.begin(), group.end());
+      }
+      return all;
+    };
+    // LoadTrace; TrainWindow plus the model prefix; the generation window.
+    const std::vector<FlagSpec> trace = {
+        {"jobs", kString}, {"flavors", kString}, {"lenient", kBool}};
+    const std::vector<FlagSpec> model = {{"train-days", kLong}, {"model", kString}};
+    const std::vector<FlagSpec> gen = {{"from-day", kLong},
+                                       {"days", kLong},
+                                       {"arrival-scale", kDouble},
+                                       {"eob-scale", kDouble},
+                                       {"guard", kString}};
+    return std::vector<Command>{
+        {"synth",
+         RunSynth,
+         {{"profile", kString},
+          {"scale", kDouble},
+          {"seed", kLong},
+          {"out", kString},
+          {"flavors", kString}}},
+        {"train",
+         RunTrain,
+         join({trace,
+               model,
+               {{"seed", kLong},
+                {"epochs", kLong},
+                {"hidden", kLong},
+                {"layers", kLong},
+                {"checkpoint", kString},
+                {"resume", kBool}}})},
+        {"generate",
+         RunGenerate,
+         join({trace,
+               model,
+               gen,
+               {{"batch-window", kLong},
+                {"fidelity", kBool},
+                {"seed", kLong},
+                {"out", kString},
+                {"out-flavors", kString},
+                {"traces", kLong},
+                {"out-dir", kString},
+                {"segment-bytes", kLong},
+                {"deadline-sec", kDouble},
+                {"resume-gen", kBool}}})},
+        {"segcat",
+         RunSegcat,
+         {{"dir", kString}, {"out", kString}, {"allow-partial", kBool}}},
+        {"metrics-dump", RunMetricsDump, {{"in", kString}, {"prom", kBool}}},
+        {"serve",
+         RunServe,
+         join({trace,
+               model,
+               gen,
+               {{"bind", kString},
+                {"port", kLong},
+                {"state-dir", kString},
+                {"io-timeout-sec", kDouble},
+                {"idle-timeout-sec", kDouble},
+                {"stall-timeout-sec", kDouble},
+                {"max-streams", kLong},
+                {"max-streams-per-tenant", kLong},
+                {"max-buffer-mb", kLong},
+                {"fidelity", kBool},
+                {"deadline-sec", kDouble}}})},
+        {"fetch",
+         RunFetch,
+         {{"host", kString},
+          {"port", kLong},
+          {"io-timeout-sec", kDouble},
+          {"health", kBool},
+          {"metrics-json", kBool},
+          {"metrics-prom", kBool},
+          {"out", kString},
+          {"tenant", kString},
+          {"stream", kString},
+          {"seed", kLong},
+          {"traces", kLong},
+          {"credit-bytes", kLong},
+          {"retry-attempts", kLong},
+          {"retry-base-ms", kDouble},
+          {"resume", kBool}}},
+        {"chaos",
+         RunChaos,
+         join({trace,
+               model,
+               gen,
+               {{"clients", kLong},
+                {"seed", kLong},
+                {"traces", kLong},
+                {"state-dir", kString},
+                {"stall-timeout-sec", kDouble},
+                {"deadline-sec", kDouble}}})},
+        {"eval",
+         RunEval,
+         join({trace, model, {{"eval-from-day", kLong}, {"eval-days", kLong}}})},
+        {"analyze", RunAnalyze, trace},
+        {"viz",
+         RunViz,
+         join({trace, {{"from-period", kLong}, {"periods", kLong}, {"ppm", kString}}})},
+    };
+  }();
+  for (const Command& command : commands) {
+    if (name == command.name) {
+      return &command;
+    }
   }
-  if (command == "train") {
-    return RunTrain(flags);
-  }
-  if (command == "generate") {
-    return RunGenerate(flags);
-  }
-  if (command == "segcat") {
-    return RunSegcat(flags);
-  }
-  if (command == "metrics-dump") {
-    return RunMetricsDump(flags);
-  }
-  if (command == "serve") {
-    return RunServe(flags);
-  }
-  if (command == "fetch") {
-    return RunFetch(flags);
-  }
-  if (command == "chaos") {
-    return RunChaos(flags);
-  }
-  if (command == "eval") {
-    return RunEval(flags);
-  }
-  if (command == "analyze") {
-    return RunAnalyze(flags);
-  }
-  if (command == "viz") {
-    return RunViz(flags);
-  }
-  std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-  return Usage();
+  return nullptr;
 }
 
 // Exports telemetry requested via --metrics-out / --trace-out. Written even
@@ -1028,8 +1118,20 @@ int Main(int argc, char** argv) {
     return Usage();
   }
   const std::string command = argv[1];
+  const Command* found = FindCommand(command);
+  if (found == nullptr) {
+    std::fprintf(stderr, "unknown command: %s\n", command.c_str());
+    return Usage();
+  }
+  std::vector<FlagSpec> specs = {{"threads", FlagType::kLong},
+                                 {"fault-plan", FlagType::kString},
+                                 {"fault-seed", FlagType::kLong},
+                                 {"trace-out", FlagType::kString},
+                                 {"metrics-out", FlagType::kString},
+                                 {"metrics-interval-sec", FlagType::kDouble}};
+  specs.insert(specs.end(), found->flags.begin(), found->flags.end());
   Flags flags;
-  if (!flags.Parse(argc, argv, 2)) {
+  if (!flags.Parse(argc, argv, 2, specs)) {
     return Usage();
   }
   const long threads = flags.GetLong("threads", 1);
@@ -1077,7 +1179,7 @@ int Main(int argc, char** argv) {
     exporter = std::make_unique<RollingMetricsExporter>(options);
     exporter->Start();
   }
-  const int rc = Dispatch(command, flags);
+  const int rc = found->run(flags);
   if (exporter != nullptr) {
     exporter->Stop();
   }

@@ -30,7 +30,6 @@ TraceStreamMachine::TraceStreamMachine(const WorkloadModel& model,
       doh_day_(model.ArrivalModel().SampleDohDay(owned_rng_, options.doh_mode)),
       flavor_gen_(model.FlavorModel(), doh_day_, options.eob_scale, options.guard),
       lifetime_gen_(model.LifetimeModel(), doh_day_, options.guard),
-      factored_flavor_(model.FlavorModel().Network().IsFactored()),
       period_(options.from_period),
       end_period_(options.to_period) {}
 
@@ -47,7 +46,6 @@ TraceStreamMachine::TraceStreamMachine(const WorkloadModel& model,
       doh_day_(doh_day),
       flavor_gen_(model.FlavorModel(), doh_day_, options.eob_scale, options.guard),
       lifetime_gen_(model.LifetimeModel(), doh_day_, options.guard),
-      factored_flavor_(model.FlavorModel().Network().IsFactored()),
       period_(options.from_period),
       end_period_(options.to_period) {}
 
@@ -208,10 +206,6 @@ Matrix* TraceStreamMachine::StepLogits() {
                                     : lifetime_gen_.MutableLogits();
 }
 
-bool TraceStreamMachine::StepWantsLogits() const {
-  return need_ != Need::kFlavorStep || !factored_flavor_;
-}
-
 BatchTraceEngine::BatchTraceEngine(const WorkloadModel& model,
                                    const WorkloadModel::GenerateOptions& options,
                                    uint64_t base)
@@ -328,14 +322,12 @@ void BatchTraceEngine::StepGroup(const SequenceNetwork& net,
       std::copy(h, h + hidden, state->h[l].Row(0));
       std::copy(c, c + hidden, state->c[l].Row(0));
     }
-    if (group[r]->StepWantsLogits()) {
-      Matrix* logits = group[r]->StepLogits();
-      if (logits->Rows() != 1 || logits->Cols() != out_dim) {
-        logits->Resize(1, out_dim);
-      }
-      const float* src = ws->logits.Row(r);
-      std::copy(src, src + out_dim, logits->Row(0));
+    Matrix* logits = group[r]->StepLogits();
+    if (logits->Rows() != 1 || logits->Cols() != out_dim) {
+      logits->Resize(1, out_dim);
     }
+    const float* src = ws->logits.Row(r);
+    std::copy(src, src + out_dim, logits->Row(0));
     group[r]->FinishNeededStep();
   }
 }

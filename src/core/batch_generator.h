@@ -81,9 +81,9 @@ class TraceStreamMachine {
 
   // Split execution of the needed step: BeginNeededStep encodes the step
   // input into `x_row` (a gathered batch row); after the external batched
-  // LSTM step scatters h/c (and logits, when StepWantsLogits()) back through
-  // StepState()/StepLogits(), FinishNeededStep samples, applies the result,
-  // and advances to the next needed step.
+  // LSTM step scatters h/c and logits back through StepState()/StepLogits(),
+  // FinishNeededStep samples, applies the result, and advances to the next
+  // needed step.
   void BeginNeededStep(float* x_row);
   void FinishNeededStep();
   // Runs the needed step entirely on the single-stream fast path — used when
@@ -113,9 +113,6 @@ class TraceStreamMachine {
   // Gather/scatter access for the needed step's generator.
   LstmState* StepState();
   Matrix* StepLogits();
-  // False when the needed step's head samples from the hidden state directly
-  // (class-factored flavor head) and no logits row exists to scatter.
-  bool StepWantsLogits() const;
 
   // Jobs generated so far (since the last ClearJobs). Streaming hands them to
   // its sink after every period and clears them, so a month-scale trace is
@@ -139,7 +136,6 @@ class TraceStreamMachine {
   int doh_day_;
   FlavorLstmModel::Generator flavor_gen_;
   LifetimeLstmModel::Generator lifetime_gen_;
-  bool factored_flavor_;
 
   enum class Phase { kPeriodStart, kFlavor, kLifetime };
   Phase phase_ = Phase::kPeriodStart;

@@ -22,50 +22,6 @@
 
 namespace cloudgen {
 
-namespace {
-
-// Expands a factored concat row [u | v] (see src/nn/factored_softmax.h) into
-// per-token log-probabilities:
-//   log p(t) = log softmax_C(u)[c(t)] + log softmax_{slice(c(t))}(v)[t].
-// Used by teacher-forced evaluation and NextTokenProbs; generation samples
-// the two levels directly and never builds this vector.
-void FactoredLogProbs(const FactoredVocabMap& map, const float* row,
-                      std::vector<double>* lp) {
-  const size_t num_clusters = map.NumClusters();
-  const size_t num_tokens = map.NumTokens();
-  lp->resize(num_tokens);
-  double max_u = row[0];
-  for (size_t c = 1; c < num_clusters; ++c) {
-    max_u = std::max(max_u, static_cast<double>(row[c]));
-  }
-  double su = 0.0;
-  for (size_t c = 0; c < num_clusters; ++c) {
-    su += std::exp(static_cast<double>(row[c]) - max_u);
-  }
-  const double log_su = std::log(su);
-  const float* v = row + num_clusters;
-  for (size_t c = 0; c < num_clusters; ++c) {
-    const size_t begin = map.SliceBegin(c);
-    const size_t width = map.SliceWidth(c);
-    double max_v = v[begin];
-    for (size_t j = 1; j < width; ++j) {
-      max_v = std::max(max_v, static_cast<double>(v[begin + j]));
-    }
-    double sv = 0.0;
-    for (size_t j = 0; j < width; ++j) {
-      sv += std::exp(static_cast<double>(v[begin + j]) - max_v);
-    }
-    const double cluster_lp = (static_cast<double>(row[c]) - max_u) - log_su;
-    const double log_sv = std::log(sv);
-    for (size_t j = 0; j < width; ++j) {
-      (*lp)[begin + j] =
-          cluster_lp + (static_cast<double>(v[begin + j]) - max_v) - log_sv;
-    }
-  }
-}
-
-}  // namespace
-
 FlavorStream BuildFlavorStream(const Trace& trace, int history_days) {
   FlavorStream stream;
   const std::vector<PeriodBatches> periods = BuildBatches(trace);
@@ -119,7 +75,6 @@ Status FlavorLstmModel::Train(const Trace& train, int history_days,
   net_config.hidden_dim = config.hidden_dim;
   net_config.num_layers = config.num_layers;
   net_config.output_dim = encoder_->Vocab().NumTokens();
-  net_config.factored_clusters = config.factored_clusters;
   network_ = SequenceNetwork(net_config, rng);
 
   const FlavorStream stream = BuildFlavorStream(train, history_days);
@@ -162,12 +117,7 @@ Status FlavorLstmModel::Train(const Trace& train, int history_days,
       }
       shard_targets.assign(targets[t].begin() + static_cast<ptrdiff_t>(r0),
                            targets[t].begin() + static_cast<ptrdiff_t>(r1));
-      const double mean =
-          network_.IsFactored()
-              ? FactoredSoftmaxCrossEntropy(logits[t], shard_targets,
-                                            network_.FactoredHead().Map(),
-                                            &(*dlogits)[t])
-              : SoftmaxCrossEntropy(logits[t], shard_targets, &(*dlogits)[t]);
+      const double mean = SoftmaxCrossEntropy(logits[t], shard_targets, &(*dlogits)[t]);
       const float f = counted_all == 0
                           ? 0.0f
                           : static_cast<float>(counted_shard) /
@@ -268,7 +218,6 @@ FlavorLstmModel::EvalResult FlavorLstmModel::Evaluate(const Trace& test) const {
   LstmState state = network_.MakeState(1);
   Matrix input(1, encoder_->Dim());
   Matrix logits;
-  std::vector<double> factored_lp;
   double nll = 0.0;
   size_t errors = 0;
   double nll_flavor = 0.0;
@@ -279,38 +228,24 @@ FlavorLstmModel::EvalResult FlavorLstmModel::Evaluate(const Trace& test) const {
     encoder_->EncodeInto(prev, stream.periods[step], stream.doh_days[step], input.Row(0));
     network_.StepLogits(input, &state, &logits);
 
-    double log_prob = 0.0;
-    bool wrong = false;
-    if (network_.IsFactored()) {
-      // Factored heads emit the concat [u | v]; expand to token log-probs.
-      FactoredLogProbs(network_.FactoredHead().Map(), logits.Row(0), &factored_lp);
-      size_t argmax = 0;
-      for (size_t c = 1; c < factored_lp.size(); ++c) {
-        if (factored_lp[c] > factored_lp[argmax]) {
-          argmax = c;
-        }
+    // NLL and argmax from the logits row.
+    const float* row = logits.Row(0);
+    const size_t classes = logits.Cols();
+    float max_v = row[0];
+    size_t argmax = 0;
+    for (size_t c = 1; c < classes; ++c) {
+      if (row[c] > max_v) {
+        max_v = row[c];
+        argmax = c;
       }
-      log_prob = factored_lp[stream.tokens[step]];
-      wrong = argmax != static_cast<size_t>(stream.tokens[step]);
-    } else {
-      // NLL and argmax from the logits row.
-      const float* row = logits.Row(0);
-      const size_t classes = logits.Cols();
-      float max_v = row[0];
-      size_t argmax = 0;
-      for (size_t c = 1; c < classes; ++c) {
-        if (row[c] > max_v) {
-          max_v = row[c];
-          argmax = c;
-        }
-      }
-      double sum = 0.0;
-      for (size_t c = 0; c < classes; ++c) {
-        sum += std::exp(static_cast<double>(row[c] - max_v));
-      }
-      log_prob = static_cast<double>(row[stream.tokens[step]] - max_v) - std::log(sum);
-      wrong = argmax != static_cast<size_t>(stream.tokens[step]);
     }
+    double sum = 0.0;
+    for (size_t c = 0; c < classes; ++c) {
+      sum += std::exp(static_cast<double>(row[c] - max_v));
+    }
+    const double log_prob =
+        static_cast<double>(row[stream.tokens[step]] - max_v) - std::log(sum);
+    const bool wrong = argmax != static_cast<size_t>(stream.tokens[step]);
     nll -= log_prob;
     if (wrong) {
       ++errors;
@@ -350,13 +285,6 @@ std::vector<double> FlavorLstmModel::NextTokenProbs(const FlavorStream& stream,
     network_.StepLogits(input, &state, &logits);
   }
   std::vector<double> probs;
-  if (network_.IsFactored()) {
-    FactoredLogProbs(network_.FactoredHead().Map(), logits.Row(0), &probs);
-    for (double& p : probs) {
-      p = std::exp(p);
-    }
-    return probs;
-  }
   const double sum = MaxShiftedExp(logits.Row(0), logits.Cols(), &probs);
   for (double& p : probs) {
     p /= sum;
@@ -412,13 +340,7 @@ void FlavorLstmModel::Generator::StepToken(Rng& rng) {
       obs::Registry::Global().GetHistogram("gen.step_ns", obs::StepLatencyBucketsNs());
   BeginStep(input_.Row(0));
   const auto step_start = std::chrono::steady_clock::now();
-  if (model_.network_.IsFactored()) {
-    // Factored heads never materialize logits: recurrent step only, then
-    // two-level sampling straight from the hidden state.
-    model_.network_.StepRecurrent(input_, &state_, &ws_);
-  } else {
-    model_.network_.StepLogits(input_, &state_, &logits_, &ws_);
-  }
+  model_.network_.StepLogits(input_, &state_, &logits_, &ws_);
   step_hist.Observe(static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                             std::chrono::steady_clock::now() - step_start)
                                             .count()));
@@ -445,55 +367,47 @@ void FlavorLstmModel::Generator::ConsumeStep(Rng& rng) {
   static obs::Counter& token_counter = obs::Registry::Global().GetCounter("gen.tokens");
   token_counter.Add(1);
   const size_t eob = model_.Vocab().EobToken();
-  size_t token;
-  if (model_.network_.IsFactored()) {
-    token = SampleFactoredToken(rng);
-  } else {
-    if (FaultInjector::Global().ShouldInject(FaultKind::kGenNanLogit)) {
-      logits_.Row(0)[0] = std::numeric_limits<float>::quiet_NaN();
-    }
-    if (guard_ != GuardPolicy::kOff && !AllFinite(logits_.Row(0), logits_.Cols())) {
-      CountGuardViolation();
-      if (guard_ == GuardPolicy::kAbort) {
-        GuardAbort(StrFormat("flavor logits non-finite at period %lld",
-                             static_cast<long long>(period_)));
-      }
-      if (guard_ == GuardPolicy::kFallback) {
-        // Redo the step through the reference (non-packed) route from the
-        // pre-step snapshot; on healthy weights it is bitwise-identical to
-        // the fast path, so the recovered trace matches an unfaulted run.
-        state_ = fallback_state_;
-        model_.network_.StepLogits(input_, &state_, &logits_);
-        if (!AllFinite(logits_.Row(0), logits_.Cols())) {
-          GuardAbort("flavor logits non-finite on the reference route too");
-        }
-        CountGuardFallback();
-      }
-      // kResample: keep going; the weights are sanitized below.
-    }
-
-    // Sample from the softmax distribution (unnormalized weights; Categorical
-    // normalizes internally).
-    MaxShiftedExp(logits_.Row(0), logits_.Cols(), &ws_.probs);
-    ws_.probs[eob] *= eob_scale_;  // What-if batch-size modification (footnote 5).
-    if (guard_ == GuardPolicy::kResample && !ValidWeights(ws_.probs)) {
-      SanitizeWeights(&ws_.probs);
-      CountGuardResample();
-    }
-    token = rng.Categorical(ws_.probs);
-
-    // Safety: an empty batch is not representable in the data (every batch
-    // has >= 1 job), so re-interpret an immediate EOB as the most likely
-    // flavor instead — explicitly excluding EOB wherever it sits in the
-    // vocabulary, rather than assuming it is the last token.
-    if (token == eob && batches_.back().empty()) {
-      token = ArgmaxExcluding(ws_.probs, eob);
-    }
+  if (FaultInjector::Global().ShouldInject(FaultKind::kGenNanLogit)) {
+    logits_.Row(0)[0] = std::numeric_limits<float>::quiet_NaN();
   }
-  AdvanceToken(token, eob);
-}
+  if (guard_ != GuardPolicy::kOff && !AllFinite(logits_.Row(0), logits_.Cols())) {
+    CountGuardViolation();
+    if (guard_ == GuardPolicy::kAbort) {
+      GuardAbort(StrFormat("flavor logits non-finite at period %lld",
+                           static_cast<long long>(period_)));
+    }
+    if (guard_ == GuardPolicy::kFallback) {
+      // Redo the step through the reference (non-packed) route from the
+      // pre-step snapshot; on healthy weights it is bitwise-identical to
+      // the fast path, so the recovered trace matches an unfaulted run.
+      state_ = fallback_state_;
+      model_.network_.StepLogits(input_, &state_, &logits_);
+      if (!AllFinite(logits_.Row(0), logits_.Cols())) {
+        GuardAbort("flavor logits non-finite on the reference route too");
+      }
+      CountGuardFallback();
+    }
+    // kResample: keep going; the weights are sanitized below.
+  }
 
-void FlavorLstmModel::Generator::AdvanceToken(size_t token, size_t eob) {
+  // Sample from the softmax distribution (unnormalized weights; Categorical
+  // normalizes internally).
+  MaxShiftedExp(logits_.Row(0), logits_.Cols(), &ws_.probs);
+  ws_.probs[eob] *= eob_scale_;  // What-if batch-size modification (footnote 5).
+  if (guard_ == GuardPolicy::kResample && !ValidWeights(ws_.probs)) {
+    SanitizeWeights(&ws_.probs);
+    CountGuardResample();
+  }
+  size_t token = rng.Categorical(ws_.probs);
+
+  // Safety: an empty batch is not representable in the data (every batch
+  // has >= 1 job), so re-interpret an immediate EOB as the most likely
+  // flavor instead — explicitly excluding EOB wherever it sits in the
+  // vocabulary, rather than assuming it is the last token.
+  if (token == eob && batches_.back().empty()) {
+    token = ArgmaxExcluding(ws_.probs, eob);
+  }
+
   if (token == eob) {
     if (static_cast<int64_t>(batches_.size()) == n_batches_) {
       prev_token_ = token;
@@ -513,125 +427,6 @@ void FlavorLstmModel::Generator::AdvanceToken(size_t token, size_t eob) {
     }
   }
   prev_token_ = token;
-}
-
-size_t FlavorLstmModel::Generator::SampleFactoredToken(Rng& rng) {
-  const ClassFactoredHead& head = model_.network_.FactoredHead();
-  const FactoredVocabMap& map = head.Map();
-  const size_t eob = model_.Vocab().EobToken();
-  const size_t num_clusters = map.NumClusters();
-  const float* h = state_.h.back().Row(0);
-
-  // Level 1: cluster logits from the hidden state. `resize` only reshapes;
-  // vector capacity persists, so the steady state allocates nothing.
-  ws_.flogits.resize(num_clusters);
-  ws_.facc.resize(num_clusters);
-  head.ClusterLogitsInto(h, ws_.facc.data(), ws_.flogits.data());
-  if (FaultInjector::Global().ShouldInject(FaultKind::kGenNanLogit)) {
-    ws_.flogits[0] = std::numeric_limits<float>::quiet_NaN();
-  }
-  if (guard_ != GuardPolicy::kOff && !AllFinite(ws_.flogits.data(), num_clusters)) {
-    CountGuardViolation();
-    if (guard_ == GuardPolicy::kAbort) {
-      GuardAbort(StrFormat("flavor cluster logits non-finite at period %lld",
-                           static_cast<long long>(period_)));
-    }
-    if (guard_ == GuardPolicy::kFallback) {
-      // Redo the recurrent step on the reference route and recompute the
-      // cluster logits; no RNG draw has been consumed yet.
-      state_ = fallback_state_;
-      model_.network_.StepRecurrent(input_, &state_);
-      h = state_.h.back().Row(0);
-      head.ClusterLogitsInto(h, ws_.facc.data(), ws_.flogits.data());
-      if (!AllFinite(ws_.flogits.data(), num_clusters)) {
-        GuardAbort("flavor cluster logits non-finite on the reference route too");
-      }
-      CountGuardFallback();
-    }
-    // kResample: the cluster weights are sanitized below.
-  }
-  MaxShiftedExp(ws_.flogits.data(), num_clusters, &ws_.cweights);
-
-  const size_t eob_cluster = map.ClusterOf(eob);
-  if (eob_scale_ != 1.0) {
-    // Exact footnote-5 adjustment under the factorization: scaling the EOB
-    // token's unnormalized weight by s multiplies its cluster's total mass
-    // by (1 - p(eob|c)) + s * p(eob|c), and the member weight inside the
-    // slice by s (applied at level 2 below). Corrupt slice logits make the
-    // factor NaN; that weight is then caught by sanitize/Categorical's
-    // degenerate fallback, never indexed out of range.
-    const size_t begin = map.SliceBegin(eob_cluster);
-    const size_t width = map.SliceWidth(eob_cluster);
-    ws_.flogits.resize(std::max(width, num_clusters));
-    ws_.facc.resize(std::max(width, num_clusters));
-    head.MemberSliceLogitsInto(h, eob_cluster, ws_.facc.data(), ws_.flogits.data());
-    const double vsum = MaxShiftedExp(ws_.flogits.data(), width, &ws_.scratch);
-    const double p_eob = ws_.scratch[eob - begin] / vsum;
-    ws_.cweights[eob_cluster] *= 1.0 - p_eob + eob_scale_ * p_eob;
-  }
-  if (guard_ == GuardPolicy::kResample && !ValidWeights(ws_.cweights)) {
-    SanitizeWeights(&ws_.cweights);
-    CountGuardResample();
-  }
-  const size_t cluster = rng.Categorical(ws_.cweights);
-
-  // Level 2: member softmax over the drawn cluster's slice.
-  const size_t begin = map.SliceBegin(cluster);
-  const size_t width = map.SliceWidth(cluster);
-  ws_.flogits.resize(std::max(width, num_clusters));
-  ws_.facc.resize(std::max(width, num_clusters));
-  head.MemberSliceLogitsInto(h, cluster, ws_.facc.data(), ws_.flogits.data());
-  if (guard_ != GuardPolicy::kOff && !AllFinite(ws_.flogits.data(), width)) {
-    // A corrupt slice under a healthy cluster row: the cluster draw is
-    // already consumed, so a fallback re-run cannot replay it — escalate
-    // under both abort and fallback; resample sanitizes below.
-    CountGuardViolation();
-    if (guard_ != GuardPolicy::kResample) {
-      GuardAbort(StrFormat("flavor member logits non-finite at period %lld",
-                           static_cast<long long>(period_)));
-    }
-  }
-  MaxShiftedExp(ws_.flogits.data(), width, &ws_.probs);
-  if (cluster == eob_cluster) {
-    ws_.probs[eob - begin] *= eob_scale_;
-  }
-  if (guard_ == GuardPolicy::kResample && !ValidWeights(ws_.probs)) {
-    SanitizeWeights(&ws_.probs);
-    CountGuardResample();
-  }
-  size_t token = begin + rng.Categorical(ws_.probs);
-
-  // Empty-batch EOB fallback (same invariant as the dense path): emit the
-  // most likely non-EOB token under the full two-level distribution. Rare
-  // path, O(C + K); consumes no draws, like the dense ArgmaxExcluding.
-  if (token == eob && batches_.back().empty()) {
-    ws_.flogits.resize(num_clusters);
-    head.ClusterLogitsInto(h, ws_.facc.data(), ws_.flogits.data());
-    const double usum = MaxShiftedExp(ws_.flogits.data(), num_clusters, &ws_.cweights);
-    size_t best = eob == 0 ? 1 : 0;
-    double best_w = -1.0;
-    for (size_t c = 0; c < num_clusters; ++c) {
-      const size_t b0 = map.SliceBegin(c);
-      const size_t w = map.SliceWidth(c);
-      ws_.flogits.resize(std::max(w, num_clusters));
-      ws_.facc.resize(std::max(w, num_clusters));
-      head.MemberSliceLogitsInto(h, c, ws_.facc.data(), ws_.flogits.data());
-      const double vsum = MaxShiftedExp(ws_.flogits.data(), w, &ws_.scratch);
-      const double pc = ws_.cweights[c] / usum;
-      for (size_t j = 0; j < w; ++j) {
-        if (b0 + j == eob) {
-          continue;
-        }
-        const double weight = pc * (ws_.scratch[j] / vsum);
-        if (weight > best_w) {  // NaN weights never win.
-          best_w = weight;
-          best = b0 + j;
-        }
-      }
-    }
-    token = best;
-  }
-  return token;
 }
 
 Status FlavorLstmModel::SaveToFile(const std::string& path) const {

@@ -39,13 +39,6 @@ struct FlavorModelConfig {
   float clip_norm = 5.0f;
   // Multiplicative learning-rate decay applied after every epoch.
   float lr_decay = 1.0f;
-  // > 0 trains a class-factored two-level softmax head with this many
-  // balanced clusters instead of the dense head (src/nn/factored_softmax.h).
-  // Generation then samples cluster-then-member in O(sqrt(K)) per token.
-  // Draw counts differ from the dense head (two Categorical draws per
-  // token), so factored models are a different sampling distribution, not a
-  // bitwise variant of the dense oracle. 0 keeps the dense head.
-  size_t factored_clusters = 0;
   // Checkpointing, resume, and divergence-watchdog behaviour.
   TrainRecoveryConfig recovery;
 };
@@ -80,8 +73,7 @@ class FlavorLstmModel {
   bool IsTrained() const { return encoder_ != nullptr; }
   const FlavorVocab& Vocab() const;
   size_t NumParameters() const { return network_.NumParameters(); }
-  // Network access for the batched engine (src/core/batch_generator.h) and
-  // head-introspection in tests.
+  // Network access for the batched engine (src/core/batch_generator.h).
   const SequenceNetwork& Network() const { return network_; }
 
   // Teacher-forced evaluation on a trace (future periods encode DOH = N).
@@ -130,8 +122,8 @@ class FlavorLstmModel {
     // StepToken (single-stream: encode + LSTM step + sample in one call)
     // or the split halves —
     // BeginStep(x_row) to encode this step's input into a gathered batch
-    // row, an external LSTM step that scatters h/c (and, for dense heads,
-    // the logits row) back into MutableState()/MutableLogits(), then
+    // row, an external LSTM step that scatters h/c and the logits row back
+    // into MutableState()/MutableLogits(), then
     // ConsumeStep to sample and advance. Token draws come only from `rng`,
     // so a stream's output depends only on its own Rng regardless of how
     // steps are batched. TakeBatches() yields the finished period.
@@ -146,9 +138,7 @@ class FlavorLstmModel {
       return std::move(batches_);
     }
 
-    // Gather/scatter access for the batched driver. MutableLogits() is only
-    // written for dense-head models; factored models sample from the
-    // scattered hidden state directly.
+    // Gather/scatter access for the batched driver.
     LstmState* MutableState() { return &state_; }
     Matrix* MutableLogits() { return &logits_; }
 
@@ -159,13 +149,6 @@ class FlavorLstmModel {
     void LoadState(std::istream& in);
 
    private:
-    // Shared post-sample tail: batch/EOB bookkeeping, job cap, feedback.
-    void AdvanceToken(size_t token, size_t eob);
-    // Two-level sample for factored heads (cluster draw + member draw, with
-    // the EOB scale folded in exactly); includes the guard handling and the
-    // empty-batch EOB reinterpretation.
-    size_t SampleFactoredToken(Rng& rng);
-
     const FlavorLstmModel& model_;
     int doh_day_;
     double eob_scale_;

@@ -50,19 +50,6 @@ void Linear::StepForwardPacked(const float* x, float* acc, float* y) const {
   }
 }
 
-void Linear::ForwardSpan(const float* x, size_t c0, size_t n, float* acc,
-                         float* y) const {
-  CG_DCHECK(c0 + n <= weight_.Cols());
-  const size_t in = weight_.Rows();
-  std::fill(acc, acc + n, 0.0f);
-  GemvAccumulateStrided(x, in, weight_.Row(0) + c0, weight_.Cols(), n, acc);
-  const float* b = bias_.Row(0) + c0;
-  for (size_t j = 0; j < n; ++j) {
-    // Same epilogue order as ForwardInference: beta=0 store, then bias add.
-    y[j] = (0.0f + acc[j]) + b[j];
-  }
-}
-
 void Linear::Prepack() {
   const size_t in = weight_.Rows();
   packed_.Resize(in + 1, weight_.Cols());

@@ -35,15 +35,6 @@ class Linear {
   // epilogue with the same operation order.
   void StepForwardPacked(const float* x, float* acc, float* y) const;
 
-  // Column-span inference for one input row: y[j] = x . W[:, c0+j] + b[c0+j]
-  // for j in [0, n). Reads weight_/bias_ directly through the strided GEMV
-  // (no packing required), with `acc` as caller scratch of n floats.
-  // Bitwise-identical to columns [c0, c0+n) of ForwardInference on the same
-  // row — the per-element accumulation chains are column-position
-  // independent — which is what lets the class-factored softmax evaluate one
-  // cluster's slice of a huge output layer in O(n) instead of O(OutDim()).
-  void ForwardSpan(const float* x, size_t c0, size_t n, float* acc, float* y) const;
-
   // Packed-weight cache for the inference fast path: [weight_; bias_] as one
   // contiguous (in+1, out) block. Invalidated by every mutable-parameter
   // route (Params(), Load()); rebuild with Prepack() after the last update.

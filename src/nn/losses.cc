@@ -52,76 +52,6 @@ double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int32_t>& tar
   return total_loss / static_cast<double>(counted);
 }
 
-double FactoredSoftmaxCrossEntropy(const Matrix& logits,
-                                   const std::vector<int32_t>& targets,
-                                   const FactoredVocabMap& map, Matrix* dlogits) {
-  CG_CHECK(dlogits != nullptr);
-  CG_CHECK(targets.size() == logits.Rows());
-  const size_t num_clusters = map.NumClusters();
-  const size_t num_tokens = map.NumTokens();
-  CG_CHECK(logits.Cols() == num_clusters + num_tokens);
-  const size_t batch = logits.Rows();
-  dlogits->Resize(batch, logits.Cols());
-
-  double total_loss = 0.0;
-  size_t counted = 0;
-  for (size_t r = 0; r < batch; ++r) {
-    const int32_t target = targets[r];
-    if (target == kIgnoreTarget) {
-      continue;  // Row already zeroed by Resize.
-    }
-    CG_CHECK(target >= 0 && static_cast<size_t>(target) < num_tokens);
-    const size_t cluster = map.ClusterOf(static_cast<size_t>(target));
-    const float* u = logits.Row(r);                         // C cluster logits.
-    const float* v = logits.Row(r) + num_clusters;          // K member logits.
-    float* du = dlogits->Row(r);
-    float* dv = dlogits->Row(r) + num_clusters;
-
-    // Cluster term: plain softmax CE over all C clusters.
-    float umax = u[0];
-    for (size_t c = 1; c < num_clusters; ++c) {
-      umax = std::max(umax, u[c]);
-    }
-    double usum = 0.0;
-    for (size_t c = 0; c < num_clusters; ++c) {
-      usum += std::exp(static_cast<double>(u[c] - umax));
-    }
-    const double ulog_sum = std::log(usum) + umax;
-    total_loss += ulog_sum - u[cluster];
-    for (size_t c = 0; c < num_clusters; ++c) {
-      du[c] = static_cast<float>(std::exp(static_cast<double>(u[c]) - ulog_sum));
-    }
-    du[cluster] -= 1.0f;
-
-    // Member term: softmax CE over the target's slice only; other member
-    // columns stay at the zero Resize left behind.
-    const size_t begin = map.SliceBegin(cluster);
-    const size_t width = map.SliceWidth(cluster);
-    float vmax = v[begin];
-    for (size_t j = 1; j < width; ++j) {
-      vmax = std::max(vmax, v[begin + j]);
-    }
-    double vsum = 0.0;
-    for (size_t j = 0; j < width; ++j) {
-      vsum += std::exp(static_cast<double>(v[begin + j] - vmax));
-    }
-    const double vlog_sum = std::log(vsum) + vmax;
-    total_loss += vlog_sum - v[target];
-    for (size_t j = 0; j < width; ++j) {
-      dv[begin + j] = static_cast<float>(
-          std::exp(static_cast<double>(v[begin + j]) - vlog_sum));
-    }
-    dv[target] -= 1.0f;
-    ++counted;
-  }
-  if (counted == 0) {
-    return 0.0;
-  }
-  const float inv = 1.0f / static_cast<float>(counted);
-  dlogits->Scale(inv);
-  return total_loss / static_cast<double>(counted);
-}
-
 double CensoredSoftmaxCrossEntropy(const Matrix& logits, const std::vector<int32_t>& targets,
                                    const std::vector<uint8_t>& censored, Matrix* dlogits) {
   CG_CHECK(dlogits != nullptr);

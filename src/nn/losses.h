@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/nn/factored_softmax.h"
 #include "src/tensor/matrix.h"
 
 namespace cloudgen {
@@ -24,21 +23,6 @@ namespace cloudgen {
 inline constexpr int32_t kIgnoreTarget = -1;
 double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int32_t>& targets,
                            Matrix* dlogits);
-
-// Cross-entropy for the class-factored softmax (ClassFactoredHead). `logits`
-// is the concatenated (B, C + K) output [u | v]: per row, the NLL is
-//
-//   -log softmax_C(u)[c(t)] - log softmax_slice(v[slice(c(t))])[t]
-//
-// i.e. the cluster term softmaxes over all C clusters and the member term
-// only over the target's own slice; member columns outside that slice get
-// zero gradient (their probability mass is governed by their own cluster's
-// rows). Same conventions as SoftmaxCrossEntropy otherwise: rows with
-// target == kIgnoreTarget are skipped, the mean is over counted rows, and
-// the gradient carries the same 1/counted scaling.
-double FactoredSoftmaxCrossEntropy(const Matrix& logits,
-                                   const std::vector<int32_t>& targets,
-                                   const FactoredVocabMap& map, Matrix* dlogits);
 
 // Censoring-aware softmax cross-entropy for PMF-parameterized survival
 // models (the Kvamme & Borgan alternative to the hazard head): an uncensored

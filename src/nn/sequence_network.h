@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/nn/factored_softmax.h"
 #include "src/nn/linear.h"
 #include "src/nn/lstm.h"
 #include "src/tensor/matrix.h"
@@ -25,14 +24,6 @@ struct SequenceNetworkConfig {
   size_t hidden_dim = 64;
   size_t num_layers = 2;
   size_t output_dim = 0;
-  // > 0 swaps the dense output head for a class-factored two-level softmax
-  // with this many balanced clusters over output_dim tokens (lamtram's
-  // SoftmaxClass; see src/nn/factored_softmax.h). Changes the logits shape:
-  // ForwardSequence/StepLogits emit the concat [u | v] of width
-  // factored_clusters + output_dim, paired with FactoredSoftmaxCrossEntropy;
-  // generation samples two levels without materializing the concat. 0 keeps
-  // the dense head (the bitwise oracle path) byte-for-byte.
-  size_t factored_clusters = 0;
 };
 
 // Preallocated scratch for the zero-allocation generation step. One workspace
@@ -46,25 +37,19 @@ struct StepWorkspace {
   // too (softmax probabilities, hazard/PMF conversions).
   std::vector<double> probs;
   std::vector<double> scratch;
-  // Factored-head sampling buffers (untouched by dense heads): float
-  // logits/accumulator scratch for cluster and member-slice GEMVs, and the
-  // cluster-weight vector.
-  std::vector<float> flogits;
-  std::vector<float> facc;
-  std::vector<double> cweights;
 };
 
 // Preallocated scratch for the batched multi-stream generation step: the
 // driver gathers each active stream's encoded input and per-layer h/c rows
-// into these matrices, runs one StepBatch, and scatters the state (and, for
-// dense heads, the logits row) back to the stream. Buffers are shaped per
-// tick but vector capacity only grows, so once the high-water batch size has
-// been seen the step performs no heap allocation per token (same discipline
-// as StepWorkspace; enforced by alloc_test).
+// into these matrices, runs one StepBatch, and scatters the state and the
+// logits row back to the stream. Buffers are shaped per tick but vector
+// capacity only grows, so once the high-water batch size has been seen the
+// step performs no heap allocation per token (same discipline as
+// StepWorkspace; enforced by alloc_test).
 struct BatchStepWorkspace {
   Matrix x;         // (B, input_dim): gathered step inputs.
   Matrix gates;     // (B, 4*hidden): shared gate scratch.
-  Matrix logits;    // (B, output_dim): batched dense-head outputs.
+  Matrix logits;    // (B, output_dim): batched head outputs.
   LstmState state;  // Per-layer (B, hidden) gathered h/c.
 };
 
@@ -92,23 +77,12 @@ class SequenceNetwork {
   void StepLogits(const Matrix& x, LstmState* state, Matrix* logits,
                   StepWorkspace* ws = nullptr) const;
 
-  // Recurrent-only single step (no output head); the caller samples from
-  // state->h.back() afterwards. Takes the packed zero-allocation route when
-  // `ws` is provided and the LSTM packs are ready (batch-1 only), the
-  // allocating reference route otherwise — both bitwise-identical. This is
-  // the generation step for factored heads, which never materialize full
-  // logits.
-  void StepRecurrent(const Matrix& x, LstmState* state,
-                     StepWorkspace* ws = nullptr) const;
-
   // Batched multi-stream generation step. EnsureBatchStep shapes `ws` for
   // `rows` gathered streams (reusing capacity — see BatchStepWorkspace);
   // StepBatch then advances all rows of ws->state through the LSTM stack
-  // from ws->x and, for dense heads, fills ws->logits via the output head.
-  // Factored heads stop at the hidden state: the caller samples per stream
-  // from ws->state.h.back() rows. Row r of every output is
-  // bitwise-identical to a single-stream StepLogits/StepRecurrent on that
-  // stream alone (per-element GEMM chains are batch-size independent).
+  // from ws->x and fills ws->logits via the output head. Row r of every
+  // output is bitwise-identical to a single-stream StepLogits on that stream
+  // alone (per-element GEMM chains are batch-size independent).
   //
   // Concurrency: both calls are const and read only the (eagerly prepacked)
   // weights; all mutable scratch lives in `ws`. Concurrent callers with
@@ -116,10 +90,6 @@ class SequenceNetwork {
   // sharded generation scheduler — are safe and share nothing.
   void EnsureBatchStep(size_t rows, BatchStepWorkspace* ws) const;
   void StepBatch(BatchStepWorkspace* ws) const;
-
-  bool IsFactored() const { return config_.factored_clusters > 0; }
-  // Valid only when IsFactored().
-  const ClassFactoredHead& FactoredHead() const { return fhead_; }
 
   // Packed-weight management for the generation fast path. Prepack() must be
   // called after the last parameter update (training code and LoadFromFile do
@@ -142,8 +112,7 @@ class SequenceNetwork {
  private:
   SequenceNetworkConfig config_;
   StackedLstm lstm_;
-  Linear head_;              // Dense head; default-empty when factored.
-  ClassFactoredHead fhead_;  // Factored head; default-empty when dense.
+  Linear head_;
   // Cached top-layer hidden states from the last ForwardSequence, needed to
   // backprop through the shared head applied at every step.
   std::vector<Matrix> cached_hidden_;

@@ -564,11 +564,6 @@ void GemvAccumulate(const float* x, size_t k, const float* w, size_t n, float* a
   GemvStrip(1.0f, x, 1, k, w, n, n, acc);
 }
 
-void GemvAccumulateStrided(const float* x, size_t k, const float* w, size_t ldw,
-                           size_t n, float* acc) {
-  GemvStrip(1.0f, x, 1, k, w, ldw, n, acc);
-}
-
 void GemmReference(bool trans_a, bool trans_b, float alpha, const Matrix& a,
                    const Matrix& b, float beta, Matrix* c) {
   CG_CHECK(c != nullptr);

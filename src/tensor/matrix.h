@@ -103,16 +103,6 @@ void GemmTiled(bool trans_a, bool trans_b, float alpha, const Matrix& a, const M
 // ApplyBeta-then-accumulate epilogue bit for bit.
 void GemvAccumulate(const float* x, size_t k, const float* w, size_t n, float* acc);
 
-// Column-span variant: acc[j] += sum_p x[p] * w(p, c0 + j) for j in [0, n),
-// where `w` points at column c0 of a row-major matrix with row stride `ldw`.
-// The per-element chains are position-independent (chunking only groups
-// output columns; each element is still one p-ascending chain), so a span's
-// outputs are bitwise-identical to the same columns of a full-width
-// GemvAccumulate call. This is what lets the class-factored softmax evaluate
-// one cluster's slice of the output layer without touching the rest.
-void GemvAccumulateStrided(const float* x, size_t k, const float* w, size_t ldw,
-                           size_t n, float* acc);
-
 // Reference implementation: the original plain i-k-j kernels, single
 // threaded and unblocked. Kept as the correctness oracle for the blocked
 // kernels (tests/benchmarks); same semantics as Gemm, different float

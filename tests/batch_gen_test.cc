@@ -55,29 +55,13 @@ Trace TrainingTrace() {
   return ApplyObservationWindow(full, 0, 2 * kPeriodsPerDay, 2 * kPeriodsPerDay);
 }
 
-// Trains the shared dense-head model once; every test reuses it.
+// Trains the shared model once; every test reuses it.
 const WorkloadModel& DenseModel() {
   static const WorkloadModel* model = [] {
     SetGlobalThreads(1);
     auto* m = new WorkloadModel();
     Rng rng(42);
     CG_CHECK(m->Train(TrainingTrace(), TinyConfig(), rng).ok());
-    return m;
-  }();
-  return *model;
-}
-
-// Same training data, but with the class-factored softmax head on the flavor
-// network. A different sampling distribution than the dense head, so it is
-// only ever compared against its own reference run.
-const WorkloadModel& FactoredModel() {
-  static const WorkloadModel* model = [] {
-    SetGlobalThreads(1);
-    auto* m = new WorkloadModel();
-    WorkloadModelConfig config = TinyConfig();
-    config.flavor.factored_clusters = 3;
-    Rng rng(42);
-    CG_CHECK(m->Train(TrainingTrace(), config, rng).ok());
     return m;
   }();
   return *model;
@@ -225,31 +209,6 @@ TEST(BatchGenIdentity, SingleStepRouteMatchesOracle) {
       ASSERT_GT(oracle.NumJobs(), 0u) << what;
       ExpectSameTrace(oracle, got, 0, what);
       EXPECT_EQ(oracle_rng.Next(), rng.Next()) << what;
-    }
-  }
-}
-
-// Class-factored softmax: a different sampling distribution than the dense
-// head (two draws per token), compared against its own reference run.
-TEST(BatchGenIdentity, FactoredHeadBatchedMatchesOracle) {
-  const WorkloadModel& model = FactoredModel();
-  ASSERT_TRUE(model.FlavorModel().Network().IsFactored());
-  const WorkloadModel::GenerateOptions options = BaseOptions();
-  constexpr size_t kCount = 24;
-
-  const std::vector<Trace> oracle = Oracle(model, options, kCount);
-  size_t total_jobs = 0;
-  for (const Trace& trace : oracle) {
-    total_jobs += trace.NumJobs();
-  }
-  ASSERT_GT(total_jobs, 0u);
-
-  for (const size_t window : {size_t{1}, size_t{7}, size_t{64}}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      const std::string what = "factored window=" + std::to_string(window) +
-                               " threads=" + std::to_string(threads);
-      ExpectSameTraces(oracle, GenerateAt(model, options, kCount, window, threads),
-                       what);
     }
   }
 }

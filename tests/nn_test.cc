@@ -2,10 +2,12 @@
 // gradient), Linear and LSTM layers (numerical gradient checks), Adam, and a
 // learnability check on a toy sequence task.
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -456,6 +458,35 @@ TEST(SequenceNetwork, SaveLoadRoundTrip) {
   for (size_t c = 0; c < 3; ++c) {
     EXPECT_FLOAT_EQ(y1(0, c), y2(0, c));
   }
+}
+
+// The model file starts with the four u64 dims (input, hidden, layers,
+// output), and a loaded network saves back to the same bytes.
+TEST(SequenceNetwork, DenseSaveLoadStaysDense) {
+  Rng rng(77);
+  SequenceNetworkConfig config;
+  config.input_dim = 8;
+  config.hidden_dim = 12;
+  config.num_layers = 1;
+  config.output_dim = 7;
+  SequenceNetwork network(config, rng);
+  std::stringstream buf;
+  network.Save(buf);
+  const std::string saved = buf.str();
+  uint64_t dims[4] = {0, 0, 0, 0};
+  ASSERT_GE(saved.size(), sizeof(dims));
+  std::memcpy(dims, saved.data(), sizeof(dims));
+  EXPECT_EQ(dims[0], 8u);
+  EXPECT_EQ(dims[1], 12u);
+  EXPECT_EQ(dims[2], 1u);
+  EXPECT_EQ(dims[3], 7u);
+
+  SequenceNetwork loaded;
+  loaded.Load(buf);
+  EXPECT_EQ(loaded.Config().output_dim, 7u);
+  std::stringstream again;
+  loaded.Save(again);
+  EXPECT_EQ(again.str(), saved);
 }
 
 // The packed fast path promises *bitwise* identity with the reference step
